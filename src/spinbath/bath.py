@@ -224,22 +224,39 @@ def write_bath(config: BathConfiguration, fh):
 
 
 def read_bath(fh) -> BathConfiguration:
+    """Inverse of write_bath.  A short file or a malformed line raises
+    ValueError naming the line."""
     header = fh.readline()
     if "bath-config v1" not in header:
         raise ValueError("not a spinbath bath-config v1 file")
-    seed = int(fh.readline().split()[1])
-    gtok = fh.readline().split()
-    geom = BathGeometry(density_ppm=float(gtok[1]), thickness=float(gtok[2]),
-                        lateral_radius=float(gtok[3]), placement_mode=gtok[4])
-    ctok = fh.readline().split()
-    central = np.array([float(v) for v in ctok[1:4]])
-    nspins = int(fh.readline().split()[1])
+    lineno = 1
+
+    def record(tag, *types):
+        nonlocal lineno
+        lineno += 1
+        line = fh.readline()
+        tok = line.split()
+        if len(tok) == len(types) + 1 and tok[0] == tag:
+            try:
+                return [conv(v) for conv, v in zip(types, tok[1:])]
+            except ValueError:
+                pass
+        raise ValueError(f"bath file line {lineno}: expected {tag!r} with "
+                         f"{len(types)} values, got {line.strip()!r}")
+
+    (seed,) = record("seed", int)
+    geom = BathGeometry(*record("geometry", float, float, float, str))
+    central = np.array(record("central", float, float, float))
+    (nspins,) = record("nspins", int)
+    if nspins < 0:
+        raise ValueError(f"bath file line {lineno}: negative spin count")
     spins = []
     for _ in range(nspins):
-        tok = fh.readline().split()
-        spins.append(BathSpin(
-            position=np.array([float(tok[1]), float(tok[2]), float(tok[3])]),
-            jt_axis=int(tok[4]), nuclear_m=float(tok[5]),
-        ))
+        x, y, z, axis, m = record("spin", float, float, float, int, float)
+        if not 0 <= axis <= 3:
+            raise ValueError(f"bath file line {lineno}: Jahn-Teller axis "
+                             f"{axis} outside 0..3")
+        spins.append(BathSpin(position=np.array([x, y, z]), jt_axis=axis,
+                              nuclear_m=m))
     return BathConfiguration(central_position=central, spins=tuple(spins),
                              geometry=geom, seed=seed)

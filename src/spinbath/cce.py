@@ -8,21 +8,29 @@ Two Hamiltonian modes:
   S_z A_zz P_z and bath pairs keep the zz + flip-flop terms, so the
   Hamiltonian is block-diagonal in the central m_s and every cluster
   reduces to two bath-only blocks of dimension 2^k.  This is the
-  production path and is vectorized across clusters.
+  production path.  Its kernel is batched over clusters and time points,
+  and its results are bit-identical to evaluating the same expressions
+  one time point at a time.
 - "full": complete dipolar tensors in the (2S+1) * 2^k Hilbert space,
   used for small-bath oracles and cross-checks.
 
 The analytic order-1 Ramsey path (Gaussian envelope times cosine factors
 from strongly coupled spins) lives here too, with the strong/weak
 partition that defines T2* = sqrt(2)/A_bath.
+
+The expansion follows Yang & Liu, PRB 78, 085315 (2008); clusters of one
+size are treated as one batch, as in PyCCE (Onizhuk & Galli, Adv. Theory
+Simul. 4, 2100254, 2021).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .bath import BathConfiguration
 from .constants import CONSTANTS, DEFAULTS, FieldConfig, P1Params
@@ -30,6 +38,9 @@ from .hamiltonian import build_cluster_hamiltonian, dipolar_tensor, secular_Azz
 
 DIVISION_FLOOR = 1e-10
 MAX_CLUSTERS = 2_000_000
+# cce_coherence holds dense n x n couplings and an n x n x 3 pair-vector
+# temporary (~400 MB at this size).
+MAX_CCE_SPINS = 4096
 STRONG_THRESHOLD = 2.0 * np.pi  # visibility threshold nu >= 2 pi
 
 
@@ -145,6 +156,8 @@ def read_curve(fh) -> CoherenceCurve:
             t, re, im = line.split()
             times.append(float(t))
             values.append(complex(float(re), float(im)))
+    if not times:
+        raise ValueError("curve file has no data rows")
     return CoherenceCurve(times=np.array(times),
                           values=np.array(values), metadata=meta)
 
@@ -227,53 +240,131 @@ def ramsey_cce1_analytic(config: BathConfiguration, time_grid,
 
 # --- cluster enumeration --------------------------------------------------
 
+# Candidate rows generated at once when growing clusters by one spin.
+_GROW_CANDIDATES = 2**18
+
+
+def _row_keys(rows, n):
+    """Integer keys of rows of spin indices < n, increasing in
+    lexicographic row order (digits in base n; Python integers when the
+    keys would overflow int64)."""
+    k = rows.shape[1]
+    dtype = np.int64 if n**k < 2**63 else object
+    return rows.astype(dtype) @ np.array([n**e for e in range(k - 1, -1, -1)],
+                                         dtype=dtype)
+
+
+def _sorted_unique(keys):
+    # np.unique on int64 is an order of magnitude slower here (numpy 2.4)
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _adjacency(pos, radius):
+    """CSR neighbour lists (indptr, indices) of the graph joining spins
+    at distance <= radius."""
+    n = len(pos)
+    # the tree proposes pairs; the squared distance summed over x, y, z
+    # against radius**2 decides, so rounding at the boundary is the same
+    # as for a dense distance matrix
+    pairs = cKDTree(pos).query_pairs(abs(radius) * (1.0 + 1e-9),
+                                     output_type="ndarray")
+    d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=-1)
+    pairs = pairs[d2 <= radius**2]
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def _grow(rows, indptr, nbr):
+    """Each row extended by each neighbour of a member outside the row,
+    sorted within the new row; rows reached twice appear twice."""
+    members = rows.ravel()
+    cnt = indptr[members + 1] - indptr[members]
+    parent = np.repeat(np.repeat(np.arange(len(rows)), rows.shape[1]), cnt)
+    at = np.arange(cnt.sum()) + np.repeat(indptr[members] - np.cumsum(cnt)
+                                          + cnt, cnt)
+    v = nbr[at]
+    base = rows[parent]
+    keep = (base != v[:, None]).all(axis=1)
+    grown = np.concatenate([base[keep], v[keep, None]], axis=1)
+    grown.sort(axis=1)
+    return grown
+
+
 def enumerate_clusters(config: BathConfiguration, order, dipole_radius,
                        max_clusters=MAX_CLUSTERS):
     """All connected subsets of bath spins of size <= order under the
-    pairwise-distance <= dipole_radius graph, in deterministic order."""
+    pairwise-distance <= dipole_radius graph, as sorted tuples ordered by
+    (size, members).
+
+    Built level by level: the connected subsets of size k+1 are those of
+    size k, each joined by one neighbour of a member.  Raises RuntimeError
+    when there are more than max_clusters, before growing the next level.
+    """
     n = len(config)
     if n == 0:
         return []
-    pos = config.positions
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-    adj = [set(np.flatnonzero(d2[i] <= dipole_radius**2)) - {i}
-           for i in range(n)]
-    clusters = []
+    if n > max_clusters:
+        raise RuntimeError("cluster explosion: reduce radius or order")
+    indptr, nbr = _adjacency(config.positions, dipole_radius)
+    max_degree = int(np.diff(indptr).max())
+    levels = [np.arange(n)[:, None]]
+    total = n
+    for k in range(1, order):
+        rows = levels[-1]
+        step = max(1, _GROW_CANDIDATES // max(1, k * max_degree))
+        keys = _row_keys(np.empty((0, k + 1), dtype=np.int64), n)
+        for r0 in range(0, len(rows), step):
+            grown = _grow(rows[r0:r0 + step], indptr, nbr)
+            keys = _sorted_unique(np.concatenate([keys, _row_keys(grown, n)]))
+            if total + len(keys) > max_clusters:
+                raise RuntimeError("cluster explosion: reduce radius or order")
+        if len(keys) == 0:
+            break
+        level = np.empty((len(keys), k + 1), dtype=np.int64)
+        for j in range(k, -1, -1):
+            level[:, j] = keys % n
+            keys = keys // n
+        levels.append(level)
+        total += len(level)
+    return [tuple(row) for level in levels for row in level.tolist()]
 
-    # Grow connected subsets containing v using only vertices > v, so each
-    # connected subset is produced exactly once (rooted at its minimum).
-    def grow(current, frontier, excluded):
-        if len(clusters) > max_clusters:
-            raise RuntimeError("cluster explosion: reduce radius or order")
-        clusters.append(tuple(sorted(current)))
-        if len(current) == order:
-            return
-        cand = sorted(frontier - excluded)
-        blocked = set(excluded)
-        for v in cand:
-            blocked.add(v)
-            new_frontier = (frontier | {u for u in adj[v] if u > root}) - current
-            grow(current | {v}, new_frontier - {v}, set(blocked))
 
-    for root in range(n):
-        grow({root}, {u for u in adj[root] if u > root}, set())
-    clusters.sort(key=lambda c: (len(c), c))
-    return clusters
+def _cluster_levels(clusters):
+    """(index of the first cluster, (count, k) member array) per cluster
+    size k, for a cluster list ordered by size."""
+    sizes = np.fromiter(map(len, clusters), dtype=int, count=len(clusters))
+    starts = np.flatnonzero(np.diff(sizes, prepend=0))
+    stops = np.append(starts[1:], len(clusters))
+    return [(int(a), np.array(clusters[a:b], dtype=np.int64))
+            for a, b in zip(starts, stops)]
 
 
-def _proper_subset_indices(clusters):
-    """For each cluster, the indices of its enumerated proper subsets."""
-    index = {c: i for i, c in enumerate(clusters)}
-    out = []
-    for c in clusters:
-        subs = []
-        for size in range(1, len(c)):
-            for sub in combinations(c, size):
-                j = index.get(sub)
-                if j is not None:
-                    subs.append(j)
-        out.append(subs)
-    return out
+def _subset_tables(levels, n, pad):
+    """Per level, each cluster's proper subsets as cluster indices, in the
+    telescoping order (by size, then combinations of the sorted members);
+    a subset that is not a cluster points at row `pad`."""
+    keys = {}
+    tables = []
+    for start, rows in levels:
+        k = rows.shape[1]
+        cols = []
+        for size in range(1, k):
+            first, found = keys[size]
+            for pos in combinations(range(k), size):
+                sub = _row_keys(rows[:, pos], n)
+                at = np.searchsorted(found, sub)
+                hit = found.take(at, mode="clip") == sub
+                cols.append(np.where(hit, first + at, pad))
+        tables.append(np.array(cols, dtype=np.int64)
+                      .reshape(len(cols), len(rows)).T)
+        keys[k] = (start, _row_keys(rows, n))
+    return tables
 
 
 # --- full-mode single-cluster propagation ---------------------------------
@@ -459,70 +550,107 @@ def _secular_blocks(cluster_sets, eps_c, azz, jzz, qubit_levels):
     return H[0], H[1]
 
 
+# Clusters per kernel chunk: about this many complex elements in each
+# (cluster, time, 2^k) temporary keeps the working set in cache.
+_KERNEL_CHUNK = 2**14
+
+
+def _contract(M, x, transpose=False):
+    """y[c, t, i] = sum_j M[c, i, j] x[c, t, j] (M[c, j, i] if transpose),
+    accumulated over j = 0..d-1 in order, which is how einsum sums at one
+    time point.  BLAS matmul sums in another order."""
+    y = np.zeros(x.shape, dtype=complex)
+    for j in range(M.shape[-1]):
+        y += (M[:, None, j, :] if transpose else M[:, None, :, j]) \
+            * x[:, :, j, None]
+    return y
+
+
+def _sandwich(M, p):
+    """X[c, t, i, k] = sum_q M[c, q, i] p[c, t, q] M[c, q, k], accumulated
+    over q in order."""
+    X = np.zeros(p.shape + p.shape[-1:], dtype=complex)
+    for q in range(p.shape[-1]):
+        X += M[:, None, q, :, None] * p[:, :, q, None, None] \
+            * M[:, None, q, None, :]
+    return X
+
+
+def _trace_product(Y, X):
+    """Tr(Y X) over the last two axes with einsum's arithmetic: for each
+    row p of Y a sum over r started from zero, with complex products in
+    plain real arithmetic (the multiply ufunc fuses multiply-adds), then
+    the row sums added in order of p."""
+    re = np.zeros(Y.shape[:-1])
+    im = np.zeros(Y.shape[:-1])
+    for r in range(Y.shape[-1]):
+        yr, yi = Y[..., r].real, Y[..., r].imag
+        xr, xi = X[..., r, :].real, X[..., r, :].imag
+        re += yr * xr - yi * xi
+        im += yr * xi + yi * xr
+    out = np.zeros(Y.shape[:-2], dtype=complex)
+    for p in range(Y.shape[-1]):
+        out.real += re[..., p]
+        out.imag += im[..., p]
+    return out
+
+
 def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
                             time_grid, exact=False):
     """L_C(t) for a batch of equal-size clusters in secular mode.
 
     state_bits: per-bath-spin bit (0 = m=+1/2) of the sampled product
     state, ignored when exact=True (thermal trace instead).
-    Returns (ncl, nt) complex.
+    Returns (ncl, nt) complex.  Work is batched over (cluster, time)
+    in chunks of about _KERNEL_CHUNK elements per 2^k vector; each value
+    is bit-identical to the same contractions done one time point at a
+    time with einsum.
     """
+    if sequence.kind not in ("Ramsey", "HahnEcho"):
+        raise ValueError(f"unsupported sequence {sequence.kind!r}")
     cluster_sets = np.asarray(cluster_sets, dtype=int)
     ncl, k = cluster_sets.shape
     d = 2**k
     t = np.asarray(time_grid, dtype=float)
-    nt = len(t)
     E0, V0 = np.linalg.eigh(H0)
     E1, V1 = np.linalg.eigh(H1)
     M = np.einsum("cpi,cpj->cij", V1, V0)  # V1^dag V0, real orthogonal
-
-    if sequence.kind == "Ramsey":
-        if exact:
-            # (1/d) Tr[e^{iH1 t} e^{-iH0 t}] = (1/d) sum |M_pq|^2 e^{i(E1_p-E0_q)t}
-            W = (M**2) / d
-            dE = E1[:, :, None] - E0[:, None, :]
-            out = np.empty((ncl, nt), dtype=complex)
-            for it, tt in enumerate(t):
-                out[:, it] = np.sum(W * np.exp(1j * dE * tt), axis=(1, 2))
-            return out
+    if not exact:
         idx = _state_index(state_bits, cluster_sets, k)
         a = V0[np.arange(ncl), idx, :]  # <idx| V0 rows -> coeffs (real)
         b = V1[np.arange(ncl), idx, :]
-        out = np.empty((ncl, nt), dtype=complex)
-        for it, tt in enumerate(t):
-            x = a * np.exp(-1j * E0 * tt)
-            y = np.einsum("cij,cj->ci", M, x)
-            out[:, it] = np.sum(b * np.exp(-1j * E1 * tt).conj() * y, axis=1)
-        return out
 
-    if sequence.kind == "HahnEcho":
-        tau = t / 2.0
-        out = np.empty((ncl, nt), dtype=complex)
-        if exact:
-            for it, tv in enumerate(tau):
-                p0 = np.exp(-1j * E0 * tv)
-                p1 = np.exp(-1j * E1 * tv)
+    out = np.empty((ncl, len(t)), dtype=complex)
+    step = max(1, _KERNEL_CHUNK // (len(t) * d))
+    for c0 in range(0, ncl, step):
+        s = slice(c0, c0 + step)
+        m, e0, e1 = M[s], E0[s, None, :], E1[s, None, :]
+        if sequence.kind == "Ramsey" and exact:
+            # (1/d) Tr[e^{iH1 t} e^{-iH0 t}] = (1/d) sum |M_pq|^2 e^{i(E1_p-E0_q)t}
+            dE = E1[s, None, :, None] - E0[s, None, None, :]
+            out[s] = np.sum((m**2 / d)[:, None]
+                            * np.exp(1j * dE * t[:, None, None]), axis=(2, 3))
+        elif sequence.kind == "Ramsey":
+            x = a[s, None, :] * np.exp(-1j * e0 * t[:, None])
+            y = _contract(m, x)
+            out[s] = np.sum(b[s, None, :] * np.exp(-1j * e1 * t[:, None]).conj()
+                            * y, axis=-1)
+        else:
+            tau = t[:, None] / 2.0
+            p0 = np.exp(-1j * e0 * tau)
+            p1 = np.exp(-1j * e1 * tau)
+            if exact:
                 # Tr[D0* M^dag D1* M D0 M^dag D1 M] / d with D = e^{-iE tau}
-                X = np.einsum("cqp,cq,cqr->cpr", M, p1, M)  # M^T e^{-iE1} M
-                X = p0[:, :, None] * X  # e^{-iE0} ...
-                Y = np.einsum("cqp,cq,cqr->cpr", M, p1.conj(), M)
-                Y = p0[:, :, None].conj() * Y
-                out[:, it] = np.einsum("cpr,crp->c", Y, X) / d
-            return out
-        idx = _state_index(state_bits, cluster_sets, k)
-        a = V0[np.arange(ncl), idx, :]
-        b = V1[np.arange(ncl), idx, :]
-        # L = a^dag D0* M^dag D1* M D0 M^dag D1 b with D = e^{-iE tau}
-        for it, tv in enumerate(tau):
-            p0 = np.exp(-1j * E0 * tv)
-            p1 = np.exp(-1j * E1 * tv)
-            w = np.einsum("cji,cj->ci", M, p1 * b)
-            w = np.einsum("cij,cj->ci", M, p0 * w)
-            w = np.einsum("cji,cj->ci", M, p1.conj() * w)
-            out[:, it] = np.sum(a * p0.conj() * w, axis=1)
-        return out
-
-    raise ValueError(f"unsupported sequence {sequence.kind!r}")
+                X = p0[..., None] * _sandwich(m, p1)  # e^{-iE0} M^T e^{-iE1} M
+                Y = p0[..., None].conj() * _sandwich(m, p1.conj())
+                out[s] = _trace_product(Y, X) / d
+            else:
+                # L = a^dag D0* M^dag D1* M D0 M^dag D1 b with D = e^{-iE tau}
+                w = _contract(m, p1 * b[s, None, :], transpose=True)
+                w = _contract(m, p0 * w)
+                w = _contract(m, p1.conj() * w, transpose=True)
+                out[s] = np.sum(a[s, None, :] * p0.conj() * w, axis=-1)
+    return out
 
 
 def _state_index(state_bits, cluster_sets, k):
@@ -530,6 +658,33 @@ def _state_index(state_bits, cluster_sets, k):
     for b in range(k):
         idx |= state_bits[cluster_sets[:, b]] << b
     return idx
+
+
+# Cluster rows per telescoping block; bounds the temporaries of a level.
+_TELESCOPE_ROWS = 512
+
+
+def _telescope(values, levels, subsets):
+    """Irreducible contributions in place: each cluster's row of L_C(t) is
+    divided by the product of its proper subsets' rows, multiplied in
+    subset-table order.  values holds one row per cluster, ordered by
+    size, and a last row of ones that absent subsets point at.  Points
+    whose denominator is below DIVISION_FLOOR become 1; returns their
+    count."""
+    floored = 0
+    for (start, rows), table in zip(levels, subsets):
+        for r0 in range(0, len(rows), _TELESCOPE_ROWS):
+            block = values[start + r0:start + min(r0 + _TELESCOPE_ROWS,
+                                                  len(rows))]
+            denom = np.ones_like(block)
+            for col in table[r0:r0 + _TELESCOPE_ROWS].T:
+                denom *= values[col]
+            bad = np.abs(denom) < DIVISION_FLOOR
+            denom[bad] = 1.0
+            np.divide(block, denom, out=block)
+            block[bad] = 1.0
+            floored += int(np.count_nonzero(bad))
+    return floored
 
 
 # --- main CCE driver -------------------------------------------------------
@@ -544,13 +699,17 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     the CCE product of irreducible contributions is formed per state and
     averaged.  In "exact" mode each cluster contribution is averaged over
     the fully mixed bath state (thermal trace) with the configuration's
-    frozen nuclear assignment.
+    frozen nuclear assignment.  Baths of more than MAX_CCE_SPINS spins
+    raise ValueError.
     """
+    n = len(config)
+    if n > MAX_CCE_SPINS:
+        raise ValueError(f"bath of {n} spins exceeds the CCE limit of "
+                         f"{MAX_CCE_SPINS} spins")
     field = field or DEFAULTS.field
     central = central or DEFAULTS.central
     p1 = p1 or DEFAULTS.p1("n15")
     t = cce.time_grid
-    n = len(config)
     meta = {"mode": cce.mode, "bath_state_mode": cce.bath_state_mode,
             "order": cce.order, "n_bath_states": cce.n_bath_states,
             "seed": seed, "floored_fraction": 0.0}
@@ -558,8 +717,9 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
         return CoherenceCurve(times=t, values=np.ones(len(t), complex), metadata=meta)
 
     clusters = enumerate_clusters(config, cce.order, cce.dipole_radius)
-    subsets = _proper_subset_indices(clusters)
     meta["n_clusters"] = len(clusters)
+    levels = _cluster_levels(clusters)
+    subsets = _subset_tables(levels, n, pad=len(clusters))
 
     rng = np.random.default_rng(as_seed_sequence(seed))
     axis = central.quantization_axis
@@ -591,15 +751,12 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
         shifts = np.array([p1.hyperfine_shift(ms[i], axes[i]) for i in range(n)])
         return shifts - CONSTANTS.gamma_e * field.B_z
 
-    by_size = {}
-    for ci, c in enumerate(clusters):
-        by_size.setdefault(len(c), []).append(ci)
-
     exact = cce.bath_state_mode == "exact"
     n_states = 1 if exact else cce.n_bath_states
     total = np.zeros(len(t), dtype=complex)
     floored = 0
-    npoints = 0
+    # one row per cluster plus a row of ones for absent subsets
+    l_raw = np.ones((len(clusters) + 1, len(t)), dtype=complex)
 
     for _ in range(n_states):
         ms, axes = nuclear_draw()
@@ -618,11 +775,9 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
             svals = 0.5 - state_bits
             hmf = jzz @ svals
 
-        l_raw = np.empty((len(clusters), len(t)), dtype=complex)
         if cce.mode == "secular":
-            for size, idxs in by_size.items():
-                sets = np.array([clusters[i] for i in idxs], dtype=int)
-                chunk = max(1, int(4e6 // (4**size)))
+            for start, sets in levels:
+                chunk = max(1, int(4e6 // (4**sets.shape[1])))
                 for s0 in range(0, len(sets), chunk):
                     sl = sets[s0:s0 + chunk]
                     jc = jzz[sl[:, :, None], sl[:, None, :]]
@@ -630,10 +785,9 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                     eps_c = (eps + hmf)[sl] - np.einsum("cij,cj->ci", jc, sv)
                     H0, H1 = _secular_blocks(sl, eps_c, azz_raw, jzz,
                                              central.qubit_levels)
-                    curves = _secular_cluster_curves(
-                        H0, H1, state_bits, sl, sequence, t, exact=exact)
-                    for off, ci in enumerate(idxs[s0:s0 + chunk]):
-                        l_raw[ci] = curves[off]
+                    l_raw[start + s0:start + s0 + len(sl)] = \
+                        _secular_cluster_curves(H0, H1, state_bits, sl,
+                                                sequence, t, exact=exact)
         else:
             for ci, c in enumerate(clusters):
                 assign = [(ms[i], int(axes[i])) for i in c]
@@ -653,25 +807,14 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                         central_position=config.central_position,
                         extra_z_shifts=extra)
 
-        # telescoping division: irreducible contributions
-        ltilde = np.empty_like(l_raw)
-        prod = np.ones(len(t), dtype=complex)
-        for ci in range(len(clusters)):
-            denom = np.ones(len(t), dtype=complex)
-            for sj in subsets[ci]:
-                denom = denom * ltilde[sj]
-            bad = np.abs(denom) < DIVISION_FLOOR
-            safe = np.where(bad, 1.0, denom)
-            ltilde[ci] = np.where(bad, 1.0, l_raw[ci] / safe)
-            floored += int(np.count_nonzero(bad))
-            npoints += len(t)
-            prod = prod * ltilde[ci]
-        total += prod
+        floored += _telescope(l_raw, levels, subsets)
+        total += np.prod(l_raw[:-1], axis=0)
 
     values = total / n_states
-    meta["floored_fraction"] = floored / max(1, npoints)
+    meta["floored_fraction"] = floored / (n_states * len(clusters) * len(t))
     if meta["floored_fraction"] > 0.01:
         meta["warning"] = "more than 1% of cluster contributions floored"
+        warnings.warn(meta["warning"], RuntimeWarning, stacklevel=2)
     return CoherenceCurve(times=t, values=values, metadata=meta)
 
 

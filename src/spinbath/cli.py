@@ -57,11 +57,19 @@ def read_measurements(path):
     """One T2* in microseconds per line; '#' starts a comment."""
     t2_us = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            t2_us.append(float(line))
+            try:
+                value = float(line)
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: not a number: "
+                                 f"{line!r}") from None
+            if not np.isfinite(value):
+                raise ValueError(f"{path} line {lineno}: T2* must be finite, "
+                                 f"got {line!r}")
+            t2_us.append(value)
     if not t2_us:
         raise ValueError(f"no measurements in {path}")
     arr = np.array(t2_us)

@@ -129,3 +129,41 @@ def test_nuclear_projection_choices():
     cfg = generate_bath(geom, 2, nuclear_projections=(-1.0, 0.0, 1.0))
     assert {s.nuclear_m for s in cfg.spins} <= {-1.0, 0.0, 1.0}
     assert {s.jt_axis for s in cfg.spins} <= {0, 1, 2, 3}
+
+
+def _bath_text(n_spins=6):
+    geom = BathGeometry(20.0, 6.0, 8.0, "continuum-poisson")
+    cfg = keep_nearest(generate_bath(geom, 4), n_spins)
+    buf = io.StringIO()
+    write_bath(cfg, buf)
+    return buf.getvalue()
+
+
+@given(cut=st.integers(0, len(_bath_text())))
+@settings(max_examples=100, deadline=None)
+def test_read_bath_truncated(cut):
+    text = _bath_text()
+    try:
+        cfg = read_bath(io.StringIO(text[:cut]))
+    except ValueError:
+        return
+    # only a cut inside the last number (or after it) can still parse
+    assert cut >= text.rindex(" ") + 2
+    assert len(cfg) == text.count("\nspin ")
+
+
+@pytest.mark.parametrize("line,replacement", [
+    ("seed", "seed\n"),
+    ("geometry", "geometry 20.0 6.0\n"),
+    ("central", "central 0.0 zero 0.0\n"),
+    ("nspins", "nspins -1\n"),
+    ("nspins", "count 6\n"),
+    ("spin", "spin 1.0 2.0 3.0 7 0.5\n"),
+    ("spin", "spin 1.0 2.0 3.0 1\n"),
+])
+def test_read_bath_malformed_lines(line, replacement):
+    lines = _bath_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(line + " "))
+    lines[at] = replacement
+    with pytest.raises(ValueError, match="bath file line"):
+        read_bath(io.StringIO("".join(lines)))

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.bath import BathGeometry, default_lateral_radius, generate_bath, keep_nearest
+import spinbath.cce as cce_module
+from spinbath.bath import (
+    BathConfiguration,
+    BathGeometry,
+    BathSpin,
+    default_lateral_radius,
+    generate_bath,
+    keep_nearest,
+)
 from spinbath.cce import (
+    DIVISION_FLOOR,
     HAHN_ECHO,
+    MAX_CCE_SPINS,
     RAMSEY,
     CCEConfig,
     CoherenceCurve,
@@ -104,6 +114,62 @@ def test_cluster_radius_disconnects():
     assert clusters == [(i,) for i in range(5)]
 
 
+def connected_subsets_reference(pos, order, radius):
+    """Brute force: every subset of size <= order whose members are joined
+    by a breadth-first search over distance <= radius."""
+    n = len(pos)
+    near = np.sum((pos[:, None] - pos[None]) ** 2, axis=-1) <= radius**2
+    out = []
+    for k in range(1, order + 1):
+        for c in combinations(range(n), k):
+            reached, frontier = {c[0]}, [c[0]]
+            while frontier:
+                v = frontier.pop()
+                for u in c:
+                    if u not in reached and near[v, u]:
+                        reached.add(u)
+                        frontier.append(u)
+            if len(reached) == k:
+                out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("seed,quantile", [(2, 0.15), (3, 0.3), (4, 0.5)])
+def test_clusters_match_brute_force(seed, quantile):
+    cfg = small_bath(seed=seed, n=14, ppm=40.0)
+    pos = cfg.positions
+    pairs = np.triu_indices(len(pos), 1)
+    radius = np.quantile(np.linalg.norm(pos[pairs[0]] - pos[pairs[1]], axis=-1),
+                         quantile)
+    expect = connected_subsets_reference(cfg.positions, 3, radius)
+    assert enumerate_clusters(cfg, 3, radius) == expect
+    assert any(len(c) == 3 for c in expect)
+    assert len(expect) < sum(len(list(combinations(range(14), k)))
+                             for k in (1, 2, 3))
+
+
+def line_bath(n, spacing=1.0):
+    spins = tuple(BathSpin(position=np.array([spacing * (i + 1), 0.0, 0.0]),
+                           jt_axis=0, nuclear_m=0.5) for i in range(n))
+    return BathConfiguration(central_position=np.zeros(3), spins=spins,
+                             geometry=BathGeometry(1.0, 1.0, 1.0), seed=0)
+
+
+def test_clusters_on_long_chain_beyond_int64_keys():
+    # 1500**6 > 2**63: the level keys fall back to Python integers
+    n, order = 1500, 6
+    clusters = enumerate_clusters(line_bath(n), order, 1.5)
+    assert clusters == [tuple(range(i, i + k)) for k in range(1, order + 1)
+                        for i in range(n - k + 1)]
+
+
+def test_cluster_guard_at_exact_count():
+    cfg = small_bath(seed=1, n=5)
+    assert len(enumerate_clusters(cfg, 2, 1e9, max_clusters=15)) == 15
+    with pytest.raises(RuntimeError):
+        enumerate_clusters(cfg, 2, 1e9, max_clusters=14)
+
+
 def test_clusters_are_connected():
     cfg = small_bath(seed=2, n=6)
     radius = 6.0
@@ -121,6 +187,182 @@ def test_clusters_are_connected():
                     reached.add(u)
                     frontier.append(u)
         assert reached == set(c)
+
+
+# --- batched secular kernel against the per-time-point loop --------------
+
+def reference_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
+                             time_grid, exact=False):
+    """The secular cluster kernel evaluated one time point at a time."""
+    cluster_sets = np.asarray(cluster_sets, dtype=int)
+    ncl, k = cluster_sets.shape
+    d = 2**k
+    t = np.asarray(time_grid, dtype=float)
+    nt = len(t)
+    E0, V0 = np.linalg.eigh(H0)
+    E1, V1 = np.linalg.eigh(H1)
+    M = np.einsum("cpi,cpj->cij", V1, V0)
+    out = np.empty((ncl, nt), dtype=complex)
+    if not exact:
+        idx = cce_module._state_index(state_bits, cluster_sets, k)
+        a = V0[np.arange(ncl), idx, :]
+        b = V1[np.arange(ncl), idx, :]
+    if sequence.kind == "Ramsey":
+        if exact:
+            W = (M**2) / d
+            dE = E1[:, :, None] - E0[:, None, :]
+            for it, tt in enumerate(t):
+                out[:, it] = np.sum(W * np.exp(1j * dE * tt), axis=(1, 2))
+            return out
+        for it, tt in enumerate(t):
+            x = a * np.exp(-1j * E0 * tt)
+            y = np.einsum("cij,cj->ci", M, x)
+            out[:, it] = np.sum(b * np.exp(-1j * E1 * tt).conj() * y, axis=1)
+        return out
+    for it, tv in enumerate(t / 2.0):
+        p0 = np.exp(-1j * E0 * tv)
+        p1 = np.exp(-1j * E1 * tv)
+        if exact:
+            X = np.einsum("cqp,cq,cqr->cpr", M, p1, M)
+            X = p0[:, :, None] * X
+            Y = np.einsum("cqp,cq,cqr->cpr", M, p1.conj(), M)
+            Y = p0[:, :, None].conj() * Y
+            out[:, it] = np.einsum("cpr,crp->c", Y, X) / d
+        else:
+            w = np.einsum("cji,cj->ci", M, p1 * b)
+            w = np.einsum("cij,cj->ci", M, p0 * w)
+            w = np.einsum("cji,cj->ci", M, p1.conj() * w)
+            out[:, it] = np.sum(a * p0.conj() * w, axis=1)
+    return out
+
+
+def reference_telescope(l_raw, clusters):
+    """Irreducible contributions one cluster at a time, with the proper
+    subsets looked up in a dict; returns (ltilde, floored points)."""
+    index = {c: i for i, c in enumerate(clusters)}
+    ltilde = np.empty_like(l_raw)
+    floored = 0
+    for ci, c in enumerate(clusters):
+        denom = np.ones(l_raw.shape[1], dtype=complex)
+        for size in range(1, len(c)):
+            for sub in combinations(c, size):
+                if sub in index:
+                    denom = denom * ltilde[index[sub]]
+        bad = np.abs(denom) < DIVISION_FLOOR
+        safe = np.where(bad, 1.0, denom)
+        ltilde[ci] = np.where(bad, 1.0, l_raw[ci] / safe)
+        floored += int(np.count_nonzero(bad))
+    return ltilde, floored
+
+
+def dense_test_bath(n=30, seed=4, ppm=50.0):
+    p1 = DEFAULTS.p1("n14")
+    geom = BathGeometry(ppm, 12.0, default_lateral_radius(ppm, 12.0, 1.5 * n))
+    return keep_nearest(generate_bath(
+        geom, seed, nuclear_projections=p1.nuclear_projections), n)
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_batched_kernel_bit_identical(sequence, exact, size):
+    cfg = dense_test_bath()
+    rng = np.random.default_rng(size)
+    sets = np.array([c for c in enumerate_clusters(cfg, size, 1e9)
+                     if len(c) == size][:400])
+    pos = cfg.positions
+    rel = pos[:, None] - pos[None]
+    r = np.linalg.norm(rel, axis=-1)
+    np.fill_diagonal(r, np.inf)
+    jzz = 5e4 / r**3
+    azz = rng.normal(size=len(cfg)) * 300.0
+    eps = rng.normal(size=sets.shape) * 100.0
+    H0, H1 = cce_module._secular_blocks(sets, eps, azz, jzz, (0, -1))
+    bits = rng.integers(0, 2, len(cfg))
+    t = np.concatenate([[0.0], np.geomspace(1e-5, 0.05, 40)])
+    new = cce_module._secular_cluster_curves(H0, H1, bits, sets, sequence, t,
+                                             exact=exact)
+    ref = reference_cluster_curves(H0, H1, bits, sets, sequence, t,
+                                   exact=exact)
+    assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_cce_coherence_bit_identical_to_reference_path(monkeypatch, order):
+    cfg = dense_test_bath()
+    t = np.concatenate([[0.0], np.geomspace(1e-4, 0.05, 30)])
+    cce = CCEConfig(order=order, dipole_radius=1e9, n_bath_states=2,
+                    time_grid=t)
+    p1 = DEFAULTS.p1("n14")
+    new = cce_coherence(cfg, cce, HAHN_ECHO, seed=3, p1=p1)
+
+    raw = []
+
+    def recorded_reference(*args, **kwargs):
+        raw.append(reference_cluster_curves(*args, **kwargs))
+        return raw[-1]
+
+    monkeypatch.setattr(cce_module, "_secular_cluster_curves",
+                        recorded_reference)
+    cce_coherence(cfg, cce, HAHN_ECHO, seed=3, p1=p1)
+    clusters = enumerate_clusters(cfg, order, 1e9)
+    per_state = np.split(np.concatenate(raw), 2)
+    total = np.zeros(len(t), dtype=complex)
+    for l_raw in per_state:
+        ltilde, floored = reference_telescope(l_raw, clusters)
+        prod = np.ones(len(t), dtype=complex)
+        for row in ltilde:
+            prod = prod * row
+        total += prod
+    assert np.array_equal(new.values, total / 2)
+    assert new.metadata["floored_fraction"] == 0.0
+
+
+def test_telescope_floors_like_the_loop():
+    clusters = enumerate_clusters(small_bath(seed=1, n=6), 3, 1e9)
+    rng = np.random.default_rng(5)
+    nt = 25
+    l_raw = np.exp(1j * rng.normal(size=(len(clusters), nt))) \
+        * rng.uniform(0.5, 1.0, size=(len(clusters), nt))
+    l_raw[:6, ::3] *= 1e-6  # singles so small that pairs hit the floor
+    ltilde, floored = reference_telescope(l_raw, clusters)
+    levels = cce_module._cluster_levels(clusters)
+    values = np.vstack([l_raw, np.ones(nt)])
+    got = cce_module._telescope(
+        values, levels, cce_module._subset_tables(levels, 6, len(clusters)))
+    assert floored > 0
+    assert got == floored
+    assert np.array_equal(values[:-1], ltilde)
+
+
+def test_floored_fraction_warns(monkeypatch):
+    cfg = small_bath(seed=2, n=5)
+    t = np.linspace(0.0, 0.02, 6)
+
+    def vanishing(H0, *args, **kwargs):
+        out = np.zeros((len(H0), len(t)), dtype=complex)
+        out[:, 0] = 1.0
+        return out
+
+    monkeypatch.setattr(cce_module, "_secular_cluster_curves", vanishing)
+    cce = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=1, time_grid=t)
+    with pytest.warns(RuntimeWarning, match="floored"):
+        curve = cce_coherence(cfg, cce, HAHN_ECHO, seed=0)
+    assert curve.metadata["warning"] == \
+        "more than 1% of cluster contributions floored"
+    assert curve.metadata["floored_fraction"] > 0.01
+
+
+def test_cce_rejects_oversized_bath(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the size guard must come first")
+
+    monkeypatch.setattr(cce_module, "enumerate_clusters", never)
+    cfg = line_bath(MAX_CCE_SPINS + 1)
+    cce = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=1,
+                    time_grid=np.linspace(0.0, 0.01, 5))
+    with pytest.raises(ValueError, match=str(MAX_CCE_SPINS)):
+        cce_coherence(cfg, cce, HAHN_ECHO, seed=0)
 
 
 # --- analytic order-1 Ramsey -------------------------------------------
@@ -275,3 +517,23 @@ def test_curve_round_trip():
 def test_read_curve_rejects_other_files():
     with pytest.raises(ValueError):
         read_curve(io.StringIO("# spinbath sweep v1\n"))
+
+
+def _curve_text():
+    t = np.linspace(0.0, 0.01, 6)
+    curve = CoherenceCurve(times=t, values=np.exp(-(t / 0.004) ** 2 + 2j * t),
+                           metadata={"order": 2})
+    buf = io.StringIO()
+    write_curve(curve, buf)
+    return buf.getvalue()
+
+
+@given(cut=st.integers(0, len(_curve_text())))
+@settings(max_examples=80, deadline=None)
+def test_read_curve_truncated(cut):
+    text = _curve_text()[:cut]
+    try:
+        curve = read_curve(io.StringIO(text))
+    except ValueError:
+        return
+    assert len(curve.times) == len(curve.values) >= 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbath.cli import main, parse_axis, read_measurements
 
@@ -37,6 +39,27 @@ def test_read_measurements(tmp_path):
         read_measurements(str(empty))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_read_measurements_rejects_non_finite(tmp_path, value):
+    f = tmp_path / "data.txt"
+    f.write_text(f"3.0\n# comment\n{value}\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_measurements(str(f))
+
+
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                       min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_read_measurements_fuzz(tmp_path_factory, values):
+    f = tmp_path_factory.mktemp("m") / "data.txt"
+    f.write_text("".join(f"{v!r}\n" for v in values))
+    if all(np.isfinite(v) and v > 0 for v in values):
+        assert np.array_equal(read_measurements(str(f)), values)
+    else:
+        with pytest.raises(ValueError):
+            read_measurements(str(f))
+
+
 # --- subcommands --------------------------------------------------------
 
 def test_bath_deterministic_output(capsys):
@@ -69,6 +92,37 @@ def test_coherence_from_bath_file(tmp_path, capsys):
     assert len(lines) == 21
     t0 = [float(v) for v in lines[0].split()]
     assert t0[0] == 0.0 and abs(complex(t0[1], t0[2])) == pytest.approx(1.0)
+
+
+def test_coherence_truncated_bath_file(tmp_path, capsys):
+    bath_file = tmp_path / "bath.txt"
+    code, _, _ = run_cli(capsys, "bath", "--density", "20", "--thickness",
+                         "10", "--seed", "5", "--out", str(bath_file))
+    assert code == 0
+    lines = bath_file.read_text().splitlines(keepends=True)
+    assert len(lines) > 7
+    bath_file.write_text("".join(lines[:7]))
+    code, out, err = run_cli(capsys, "coherence", "--bath", str(bath_file),
+                             "--order", "2", "--npoints", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bath file line 8")
+    assert len(err.splitlines()) == 1
+
+
+def test_mle_rejects_non_finite_measurement(tmp_path, capsys):
+    lib_file = tmp_path / "library.txt"
+    code, _, _ = run_cli(capsys, "library", "--densities", "2,4",
+                         "--thicknesses", "4", "--nsamples", "20",
+                         "--seed", "4", "--out", str(lib_file))
+    assert code == 0
+    data_file = tmp_path / "data.txt"
+    data_file.write_text("3.0\nnan\n")
+    code, _, err = run_cli(capsys, "mle", "--library", str(lib_file),
+                           "--data", str(data_file), "--thickness", "4")
+    assert code == 1
+    assert err.startswith("error:") and "line 2" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_coherence_needs_geometry_or_bath(capsys):
