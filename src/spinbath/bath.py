@@ -15,6 +15,7 @@ from math import gamma as gamma_fn
 import numpy as np
 
 from .constants import CONSTANTS, ppm_to_number_density
+from .textio import LineReader
 
 # Fractional coordinates of the 8 carbon sites in the conventional cell.
 _DIAMOND_BASIS = np.array([
@@ -226,36 +227,18 @@ def write_bath(config: BathConfiguration, fh):
 def read_bath(fh) -> BathConfiguration:
     """Inverse of write_bath.  A short file or a malformed line raises
     ValueError naming the line."""
-    header = fh.readline()
-    if "bath-config v1" not in header:
-        raise ValueError("not a spinbath bath-config v1 file")
-    lineno = 1
-
-    def record(tag, *types):
-        nonlocal lineno
-        lineno += 1
-        line = fh.readline()
-        tok = line.split()
-        if len(tok) == len(types) + 1 and tok[0] == tag:
-            try:
-                return [conv(v) for conv, v in zip(types, tok[1:])]
-            except ValueError:
-                pass
-        raise ValueError(f"bath file line {lineno}: expected {tag!r} with "
-                         f"{len(types)} values, got {line.strip()!r}")
-
-    (seed,) = record("seed", int)
-    geom = BathGeometry(*record("geometry", float, float, float, str))
-    central = np.array(record("central", float, float, float))
-    (nspins,) = record("nspins", int)
+    rd = LineReader(fh, "bath-config v1", "bath")
+    (seed,) = rd.record("seed", int)
+    geom = BathGeometry(*rd.record("geometry", float, float, float, str))
+    central = np.array(rd.record("central", float, float, float))
+    (nspins,) = rd.record("nspins", int)
     if nspins < 0:
-        raise ValueError(f"bath file line {lineno}: negative spin count")
+        raise rd.error("negative spin count")
     spins = []
     for _ in range(nspins):
-        x, y, z, axis, m = record("spin", float, float, float, int, float)
+        x, y, z, axis, m = rd.record("spin", float, float, float, int, float)
         if not 0 <= axis <= 3:
-            raise ValueError(f"bath file line {lineno}: Jahn-Teller axis "
-                             f"{axis} outside 0..3")
+            raise rd.error(f"Jahn-Teller axis {axis} outside 0..3")
         spins.append(BathSpin(position=np.array([x, y, z]), jt_axis=axis,
                               nuclear_m=m))
     return BathConfiguration(central_position=central, spins=tuple(spins),

@@ -129,12 +129,17 @@ class CoherenceCurve:
 
 
 def write_curve(curve: CoherenceCurve, fh):
-    """Delimited text: metadata header then (time_ms, re_L, im_L) rows."""
+    """Delimited text: metadata header then (time_ms, re_L, im_L) rows.
+    Metadata values must be scalars (str, int or float); any other value
+    raises ValueError naming its key, before anything is written."""
+    scalar = (str, int, float, np.integer, np.floating)
+    for key, val in curve.metadata.items():
+        if not isinstance(val, scalar):
+            raise ValueError(f"curve metadata {key!r} is not a scalar: "
+                             f"{type(val).__name__}")
     fh.write("# spinbath curve v1\n")
     for key in sorted(curve.metadata):
-        val = curve.metadata[key]
-        if isinstance(val, (str, int, float, np.integer, np.floating)):
-            fh.write(f"# meta {key} {val}\n")
+        fh.write(f"# meta {key} {curve.metadata[key]}\n")
     fh.write("# time_ms re_L im_L\n")
     for t, v in zip(curve.times, curve.values):
         fh.write(f"{float(t)!r} {float(v.real)!r} {float(v.imag)!r}\n")
@@ -700,7 +705,8 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     averaged.  In "exact" mode each cluster contribution is averaged over
     the fully mixed bath state (thermal trace) with the configuration's
     frozen nuclear assignment.  Baths of more than MAX_CCE_SPINS spins
-    raise ValueError.
+    raise ValueError, and so does a diverging expansion: irreducible
+    factors that overflow leave non-finite values in the product.
     """
     n = len(config)
     if n > MAX_CCE_SPINS:
@@ -808,9 +814,16 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                         extra_z_shifts=extra)
 
         floored += _telescope(l_raw, levels, subsets)
-        total += np.prod(l_raw[:-1], axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an overflowing product is reported below as a divergence
+            total += np.prod(l_raw[:-1], axis=0)
 
     values = total / n_states
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ValueError(f"CCE diverged: {bad} of {len(t)} coherence values "
+                         f"are not finite (order {cce.order}, "
+                         f"{cce.bath_state_mode} bath states)")
     meta["floored_fraction"] = floored / (n_states * len(clusters) * len(t))
     if meta["floored_fraction"] > 0.01:
         meta["warning"] = "more than 1% of cluster contributions floored"
@@ -852,11 +865,11 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
                               seed=ss.spawn(1)[0], central=central, p1=p1)
         acc += np.abs(curve.values)
     acc /= n_configs
-    return CoherenceCurve(
-        times=t, values=acc.astype(complex),
-        metadata={"ensemble": n_configs, "seed": seed,
-                  "n_spins": n_spins, "mode": cce.mode,
-                  "order": cce.order, "sequence": sequence.kind})
+    meta = {"ensemble": n_configs, "seed": seed, "mode": cce.mode,
+            "order": cce.order, "sequence": sequence.kind}
+    if n_spins is not None:
+        meta["n_spins"] = n_spins
+    return CoherenceCurve(times=t, values=acc.astype(complex), metadata=meta)
 
 
 def simulate_observable(geometry, n_configs, cce, sequence, seed,
@@ -867,7 +880,8 @@ def simulate_observable(geometry, n_configs, cce, sequence, seed,
 
     observable "t2star": analytic order-1 partition route (Ramsey).
     observable "t2": CCE curves fitted to stretched exponentials.
-    Failures are flagged entries (NaN) rather than global aborts.
+    Failed fits are flagged entries (NaN) rather than global aborts; a
+    diverging expansion raises ValueError from cce_coherence.
     """
     from .bath import generate_bath
     from .fitting import fit_stretched_exponential

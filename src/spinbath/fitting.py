@@ -9,6 +9,7 @@ from scipy.optimize import curve_fit
 
 from .bath import BathGeometry, default_lateral_radius
 from .cce import CoherenceCurve, partition_strong_weak
+from .textio import LineReader
 
 FIT_BOUNDS_N = (0.3, 6.0)
 
@@ -199,20 +200,15 @@ def write_sweep(grid: SweepGrid, fh):
 
 
 def read_sweep(fh) -> SweepGrid:
-    header = fh.readline()
-    if "sweep v1" not in header:
-        raise ValueError("not a spinbath sweep v1 file")
-    meta_tok = fh.readline().split()
-    meta = {"seed": int(meta_tok[2]), "n_configs": int(meta_tok[4]),
-            "observable": meta_tok[6]}
-    thicknesses = np.array([float(v) for v in fh.readline().split()[1:]])
-    densities = np.array([float(v) for v in fh.readline().split()[1:]])
-    cells = {}
-    for line in fh:
-        tok = line.split()
-        if not tok or tok[0] != "cell":
-            continue
-        cells[(int(tok[1]), int(tok[2]))] = np.array(
-            [float(v) for v in tok[3:]])
+    """Inverse of write_sweep.  A short file, a malformed line, a missing
+    cell or a cell without n_configs samples raises ValueError naming the
+    line."""
+    rd = LineReader(fh, "sweep v1", "sweep")
+    seed, n_configs, observable = rd.record(
+        "meta", "seed", int, "n_configs", int, "observable", str)
+    meta = {"seed": seed, "n_configs": n_configs, "observable": observable}
+    thicknesses = np.array(rd.record("thicknesses", [float])[0])
+    densities = np.array(rd.record("densities", [float])[0])
+    cells = rd.cells((len(thicknesses), len(densities)), size=n_configs)
     return SweepGrid(thicknesses=thicknesses, densities=densities,
                      cells=cells, metadata=meta)

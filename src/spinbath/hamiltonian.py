@@ -4,10 +4,24 @@ The central spin is an NV (S=1) quantized along its [111] axis; bath spins
 are P1 electrons (S=1/2) whose nitrogen nuclear state enters only as a
 static hyperfine shift a(m, axis).  Everything is assembled in the frame
 whose z axis is the central quantization axis.
+
+Cluster Hamiltonians live in the product basis of the Kronecker layout:
+the central m_s (ordered +1, 0, -1) is the most significant digit of a
+basis index and bath spin i sits at bit n-1-i of the remaining 2^n (a 0
+bit is m = +1/2).  Each term (a spin-operator product times a coupling) is
+nonzero only where every spin it does not act on keeps its state, and there
+it is one product of local entries (0.5, 0.5i, 1/sqrt 2, i/sqrt 2 and
+signs).  Those products are exact, so a per-size table of each term's
+nonzeros (flat index, value), scaled by the coupling and summed in term
+order with one unbuffered np.add.at, gives the bits that dense products of
+Kronecker-embedded operators summed term by term give: each entry receives
+the same nonzero additions in the same order, and the skipped zeros change
+no sum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +128,49 @@ class ClusterHamiltonian:
             raise AssertionError("assembled Hamiltonian is not Hermitian")
 
 
+def _product_nonzeros(n, factors):
+    """Flat indices (row * dim + col) and values of the nonzero entries of
+    the product-basis operator whose local factor at `site` is
+    factors[site] (identity elsewhere); site 0 is the central spin and site
+    i + 1 is bath spin i."""
+    rows = cols = np.zeros(1, dtype=np.int64)
+    vals = np.ones(1, dtype=complex)
+    for site in range(n + 1):
+        op = factors.get(site, ID3 if site == 0 else ID2)
+        r, c = np.nonzero(op)
+        rows = (rows[:, None] * len(op) + r).ravel()
+        cols = (cols[:, None] * len(op) + c).ravel()
+        vals = (vals[:, None] * op[r, c]).ravel()
+    return rows * (3 << n) + cols, vals
+
+
+@functools.lru_cache(maxsize=8)
+def _term_table(n):
+    """Nonzeros of every term operator of an n-spin cluster Hamiltonian.
+
+    Terms come in assembly order: central Sz and Sz^2; per bath spin i its
+    Sz, then the central-bath products S_a P_i,b (a, b = x, y, z); then per
+    pair i < j the products P_i,a P_j,b.  Returns read-only arrays (flat
+    indices, values, nonzeros per term).
+    """
+    central = (SX3, SY3, SZ3)
+    bath = (SX2, SY2, SZ2)
+    terms = [{0: SZ3}, {0: SZ3 @ SZ3}]
+    for i in range(n):
+        terms.append({i + 1: SZ2})
+        terms += [{0: a, i + 1: b} for a in central for b in bath]
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms += [{i + 1: a, j + 1: b} for a in bath for b in bath]
+    parts = [_product_nonzeros(n, f) for f in terms]
+    table = (np.concatenate([p[0] for p in parts]),
+             np.concatenate([p[1] for p in parts]),
+             np.array([len(p[0]) for p in parts]))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def build_cluster_hamiltonian(positions, central: CentralSpinParams,
                               field: FieldConfig, p1: P1Params,
                               nuclear_assignment, central_position=None,
@@ -137,49 +194,34 @@ def build_cluster_hamiltonian(positions, central: CentralSpinParams,
     R = _frame(central.quantization_axis)
     gamma = constants.gamma_e
     B = field.B_z
+    dim = 3 << n
 
-    dims = [3] + [2] * n
-    dim = int(np.prod(dims))
-
-    def embed(op, site):
-        mats = [ID3 if k == 0 else ID2 for k in range(n + 1)]
-        mats[site] = op
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
-    Sc = [embed(o, 0) for o in (SX3, SY3, SZ3)]
-    Pb = [[embed(o, i + 1) for o in (SX2, SY2, SZ2)] for i in range(n)]
-
-    H = np.zeros((dim, dim), dtype=complex)
+    # one coefficient per term of _term_table(n), in its order
+    coefs = np.zeros(2 + 10 * n + 9 * (n * (n - 1) // 2))
     # central spin: -gamma_e B Sz + D Sz^2
-    H += -gamma * B * Sc[2] + central.zero_field_splitting_D * (Sc[2] @ Sc[2])
-
+    coefs[:2] = -gamma * B, central.zero_field_splitting_D
     for i in range(n):
         m_i, axis_i = nuclear_assignment[i]
-        shift = p1.hyperfine_shift(m_i, axis_i)
-        H += (shift - gamma * B) * Pb[i][2]
+        coefs[2 + 10 * i] = p1.hyperfine_shift(m_i, axis_i) - gamma * B
         if couplings_enabled:
             A = dipolar_tensor(positions[i] - central_position,
                                constants=constants)
-            A = R @ A @ R.T
-            for a in range(3):
-                for b in range(3):
-                    if A[a, b] != 0.0:
-                        H += A[a, b] * (Sc[a] @ Pb[i][b])
+            coefs[3 + 10 * i:12 + 10 * i] = (R @ A @ R.T).ravel()
     if couplings_enabled:
+        k = 2 + 10 * n
         for i in range(n):
             for j in range(i + 1, n):
                 J = dipolar_tensor(positions[j] - positions[i],
                                    constants=constants)
-                J = R @ J @ R.T
-                for a in range(3):
-                    for b in range(3):
-                        if J[a, b] != 0.0:
-                            H += J[a, b] * (Pb[i][a] @ Pb[j][b])
+                coefs[k:k + 9] = (R @ J @ R.T).ravel()
+                k += 9
 
-    return ClusterHamiltonian(dimension=dim, matrix=H,
+    idx, vals, counts = _term_table(n)
+    keep = coefs != 0.0
+    sel = np.repeat(keep, counts)
+    H = np.zeros(dim * dim, dtype=complex)
+    np.add.at(H, idx[sel], np.repeat(coefs[keep], counts[keep]) * vals[sel])
+    return ClusterHamiltonian(dimension=dim, matrix=H.reshape(dim, dim),
                               spin_index_map=("central",) + tuple(range(n)))
 
 

@@ -17,6 +17,7 @@ from scipy.optimize import curve_fit
 
 from . import __version__
 from .fitting import SweepGrid, run_sweep
+from .textio import LineReader
 
 LOG10 = np.log(10.0)
 DEFAULT_N_BINS = 200
@@ -360,22 +361,18 @@ def write_library(library: CoherenceLibrary, fh):
 
 
 def read_library(fh) -> CoherenceLibrary:
-    header = fh.readline()
-    if "library v1" not in header:
-        raise ValueError("not a spinbath library v1 file")
-    schema = fh.readline().split()[1]
-    engine = fh.readline().split()[1]
-    tok = fh.readline().split()
-    seed, n_samples, n_bins = int(tok[1]), int(tok[3]), int(tok[5])
-    thicknesses = np.array([float(v) for v in fh.readline().split()[1:]])
-    densities = np.array([float(v) for v in fh.readline().split()[1:]])
-    cells = {}
-    for line in fh:
-        tok = line.split()
-        if not tok or tok[0] != "cell":
-            continue
-        cells[(int(tok[1]), int(tok[2]))] = np.array(
-            [float(v) for v in tok[3:]])
+    """Inverse of write_library.  A short file, a malformed line or a
+    missing cell raises ValueError naming the line.  The format holds no
+    per-cell sample count, so a cut inside the last cell's samples still
+    parses."""
+    rd = LineReader(fh, "library v1", "library")
+    (schema,) = rd.record("schema", str)
+    (engine,) = rd.record("engine", str)
+    seed, n_samples, n_bins = rd.record("seed", int, "n_samples", int,
+                                        "n_bins", int)
+    thicknesses = np.array(rd.record("thicknesses", [float])[0])
+    densities = np.array(rd.record("densities", [float])[0])
+    cells = rd.cells((len(thicknesses), len(densities)))
     return CoherenceLibrary(
         thicknesses=thicknesses, densities=densities, cells=cells,
         n_bins=n_bins,

@@ -18,9 +18,9 @@ from .bath import (BathGeometry, default_lateral_radius, generate_bath,
                    keep_nearest, mean_nn_distance_formula,
                    nearest_neighbor_distance)
 from .cce import (CCEConfig, HAHN_ECHO, RAMSEY, CoherenceCurve,
-                  as_seed_sequence, cce_coherence, ensemble_coherence,
-                  ramsey_cce1_analytic, ramsey_product_of_cosines,
-                  spawn_seed)
+                  _pi_pulse_matrix, as_seed_sequence, cce_coherence,
+                  ensemble_coherence, ramsey_cce1_analytic,
+                  ramsey_product_of_cosines, spawn_seed)
 from .constants import DEFAULTS, ppm_to_number_density
 from .fitting import distribution_stats, fit_stretched_exponential, run_sweep
 from .hamiltonian import SPIN1_M_ORDER, build_cluster_hamiltonian, \
@@ -96,10 +96,7 @@ def dense_echo_reference(config, time_grid, nuclear_ms, jt_axes, state_bits,
         idx |= int(state_bits[i]) << (n - 1 - i)
     psi0 = np.zeros(3 * nb, complex)
     psi0[i0 * nb + idx] = psi0[i1 * nb + idx] = 1.0 / np.sqrt(2.0)
-    P = np.eye(3, dtype=complex)
-    P[i0, i0] = P[i1, i1] = 0.0
-    P[i0, i1] = P[i1, i0] = 1.0
-    pulse = np.kron(P, np.eye(nb))
+    pulse = _pi_pulse_matrix(central.qubit_levels, nb)
     W = evecs.conj().T
     out = np.empty(len(time_grid), complex)
     for it, t in enumerate(time_grid):

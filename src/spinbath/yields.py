@@ -18,6 +18,7 @@ from .bath import (BathConfiguration, BathGeometry, generate_bath,
                    slice_bath)
 from .cce import STRONG_THRESHOLD, _couplings, partition_strong_weak
 from .constants import CentralSpinParams, DEFAULTS, ppm_to_number_density
+from .textio import LineReader
 
 MASTER_THICKNESS_NM = 50.0
 MASTER_TARGET_SPINS = 300
@@ -309,25 +310,35 @@ def write_yield_report(report: YieldReport, fh):
 
 
 def read_yield_report(fh) -> YieldReport:
-    header = fh.readline()
-    if "yield-report v1" not in header:
-        raise ValueError("not a spinbath yield-report v1 file")
-    meta_tok = fh.readline().split()
-    meta = {"seed": int(meta_tok[2]), "n_configs": int(meta_tok[4]),
-            "master_thickness": float(meta_tok[6])}
-    fh.readline()  # column header
-    rows = [line.split() for line in fh if line.strip()]
-    dens = sorted({float(r[0]) for r in rows})
-    thick = sorted({float(r[1]) for r in rows})
+    """Inverse of write_yield_report.  A short file, a malformed row or a
+    missing (density, thickness) row raises ValueError naming the line.
+    The format holds no row count, so a file cut at the end of a row
+    parses as a report over the rows before it when they fill a grid."""
+    rd = LineReader(fh, "yield-report v1", "yield-report")
+    seed, n_configs, master = rd.record(
+        "meta", "seed", int, "n_configs", int, "master_thickness", float)
+    meta = {"seed": seed, "n_configs": n_configs, "master_thickness": master}
+    rd.record("columns", [str])
+    rows = {}
+    for rho, t, y, y_err, r_nn in rd.rows(float, float, float, float, float):
+        if (rho, t) in rows:
+            raise rd.error(f"repeated row for density {rho!r}, "
+                           f"thickness {t!r}")
+        rows[(rho, t)] = (y, y_err, r_nn)
+    dens = sorted({rho for rho, _ in rows})
+    thick = sorted({t for _, t in rows})
+    if not rows or len(rows) < len(dens) * len(thick):
+        raise rd.error(f"the file holds rows for {len(rows)} of "
+                       f"{len(dens) * len(thick)} (density, thickness) pairs")
     frac = np.zeros((len(dens), len(thick)))
     err = np.zeros_like(frac)
     rnn = np.zeros(len(dens))
-    for r in rows:
-        i = dens.index(float(r[0]))
-        j = thick.index(float(r[1]))
-        frac[i, j] = float(r[2])
-        err[i, j] = float(r[3])
-        rnn[i] = float(r[4])
+    for (rho, t), (y, y_err, r_nn) in rows.items():
+        i = dens.index(rho)
+        j = thick.index(t)
+        frac[i, j] = y
+        err[i, j] = y_err
+        rnn[i] = r_nn
     return YieldReport(densities=np.array(dens), thicknesses=np.array(thick),
                        yield_fraction=frac, yield_stderr=err, mean_rnn=rnn,
                        metadata=meta)

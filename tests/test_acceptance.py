@@ -6,6 +6,9 @@ import pytest
 
 from spinbath import validation
 
+# minutes in total; `pytest -m "not slow"` leaves them out of a quick run
+pytestmark = pytest.mark.slow
+
 
 def run(check, **kwargs):
     res = check(**kwargs)

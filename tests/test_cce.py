@@ -498,6 +498,36 @@ def test_ensemble_coherence_shape_and_normalization():
     assert curve.metadata["ensemble"] == 4
 
 
+def test_ensemble_curve_without_n_spins_writes():
+    geom = BathGeometry(10.0, 10.0, default_lateral_radius(10.0, 10.0, 4),
+                        "continuum-poisson")
+    cce = CCEConfig(order=1, dipole_radius=1e9, n_bath_states=1,
+                    time_grid=np.linspace(0.0, 0.01, 5))
+    curve = ensemble_coherence(geom, 2, cce, HAHN_ECHO, seed=3)
+    assert "n_spins" not in curve.metadata
+    buf = io.StringIO()
+    write_curve(curve, buf)
+    assert "# meta ensemble 2\n" in buf.getvalue()
+
+
+def test_diverging_expansion_raises():
+    # exact Ramsey at order 3: irreducible factors whose denominators sit
+    # just above the floor overflow, and the cluster product reaches inf/nan
+    p1 = DEFAULTS.p1("n15")
+    geom = BathGeometry(30.0, 8.0, default_lateral_radius(30.0, 8.0, 16))
+    cfg = generate_bath(geom, 10, nuclear_projections=p1.nuclear_projections)
+    cce = CCEConfig(order=3, dipole_radius=1e9, n_bath_states=1,
+                    time_grid=np.linspace(0.0, 0.05, 31),
+                    bath_state_mode="exact")
+    with pytest.raises(ValueError, match="3 of 31 coherence values are not"):
+        cce_coherence(cfg, cce, RAMSEY, seed=10, p1=p1)
+    # the same bath at order 2 stays finite
+    finite = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=1,
+                       time_grid=cce.time_grid, bath_state_mode="exact")
+    assert np.all(np.isfinite(cce_coherence(cfg, finite, RAMSEY, seed=10,
+                                            p1=p1).values))
+
+
 # --- serialization ------------------------------------------------------
 
 def test_curve_round_trip():
@@ -512,6 +542,17 @@ def test_curve_round_trip():
     assert np.array_equal(back.times, curve.times)
     assert np.array_equal(back.values, curve.values)
     assert back.metadata["sequence"] == "HahnEcho"
+
+
+@pytest.mark.parametrize("value", [None, [1, 2], np.array([0.5]), {"a": 1}])
+def test_write_curve_rejects_non_scalar_metadata(value):
+    curve = CoherenceCurve(times=np.linspace(0.0, 0.01, 3),
+                           values=np.ones(3, complex),
+                           metadata={"order": 2, "states": value})
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="'states'"):
+        write_curve(curve, buf)
+    assert buf.getvalue() == ""
 
 
 def test_read_curve_rejects_other_files():

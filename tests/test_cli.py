@@ -110,6 +110,37 @@ def test_coherence_truncated_bath_file(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_coherence_diverging_expansion(capsys):
+    code, out, err = run_cli(capsys, "coherence", "--density", "30",
+                             "--thickness", "8", "--target-spins", "16",
+                             "--seed", "10", "--order", "3", "--kind",
+                             "ramsey", "--bath-state-mode", "exact",
+                             "--npoints", "30")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: CCE diverged: 3 of 31")
+    assert len(err.splitlines()) == 1
+
+
+def test_mle_truncated_library(tmp_path, capsys):
+    lib_file = tmp_path / "library.txt"
+    code, _, _ = run_cli(capsys, "library", "--densities", "2,4",
+                         "--thicknesses", "4", "--nsamples", "20",
+                         "--seed", "4", "--out", str(lib_file))
+    assert code == 0
+    text = lib_file.read_text()
+    data_file = tmp_path / "data.txt"
+    data_file.write_text("3.0\n")
+    for cut, line in ((22, 2), (text.index("\ncell 0 1") + 1, 7)):
+        lib_file.write_text(text[:cut])
+        code, out, err = run_cli(capsys, "mle", "--library", str(lib_file),
+                                 "--data", str(data_file), "--thickness", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: library file line {line}")
+        assert len(err.splitlines()) == 1
+
+
 def test_mle_rejects_non_finite_measurement(tmp_path, capsys):
     lib_file = tmp_path / "library.txt"
     code, _, _ = run_cli(capsys, "library", "--densities", "2,4",

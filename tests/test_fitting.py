@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spinbath.cce import CoherenceCurve
 from spinbath.fitting import (
     DistributionStats,
+    SweepGrid,
     distribution_stats,
     fit_stretched_exponential,
     ramsey_t2star,
@@ -141,6 +142,49 @@ def test_sweep_round_trip():
     buf2 = io.StringIO()
     write_sweep(back, buf2)
     assert buf2.getvalue() == text
+
+
+def _sweep_text():
+    rng = np.random.default_rng(5)
+    grid = SweepGrid(thicknesses=np.array([2.0, 8.0]),
+                     densities=np.array([3.0, 6.0]),
+                     cells={(i, j): rng.lognormal(0.0, 0.5, 3)
+                            for i in range(2) for j in range(2)},
+                     metadata={"seed": 5, "n_configs": 3,
+                               "observable": "t2star"})
+    buf = io.StringIO()
+    write_sweep(grid, buf)
+    return grid, buf.getvalue()
+
+
+@given(cut=st.integers(0, len(_sweep_text()[1])))
+@settings(max_examples=100, deadline=None)
+def test_read_sweep_truncated(cut):
+    full, text = _sweep_text()
+    try:
+        grid = read_sweep(io.StringIO(text[:cut]))
+    except ValueError:
+        return
+    # every cell holds n_configs samples, so only a cut inside the last
+    # number (or after it) can still parse
+    assert cut >= text.rindex(" ") + 2
+    assert sorted(grid.cells) == sorted(full.cells)
+    assert np.array_equal(grid.cells[(0, 0)], full.cells[(0, 0)])
+
+
+@pytest.mark.parametrize("line,replacement", [
+    ("meta", "meta seed 5 n_configs 3\n"),
+    ("thicknesses", "thicknesses\n"),
+    ("cell", "cell 0 0 1.0 2.0\n"),
+    ("cell", "cell 2 0 1.0 2.0 3.0\n"),
+    ("cell", "cell 0 x 1.0 2.0 3.0\n"),
+])
+def test_read_sweep_malformed_lines(line, replacement):
+    lines = _sweep_text()[1].splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(line + " "))
+    lines[at] = replacement
+    with pytest.raises(ValueError, match=f"sweep file line {at + 1}:"):
+        read_sweep(io.StringIO("".join(lines)))
 
 
 def test_read_sweep_rejects_other_files():

@@ -3,9 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.constants import CONSTANTS, DEFAULTS, FieldConfig, radms_to_mhz
+from spinbath.constants import (
+    CONSTANTS,
+    DEFAULTS,
+    CentralSpinParams,
+    FieldConfig,
+    radms_to_mhz,
+)
 from spinbath.hamiltonian import (
+    ID2,
+    ID3,
     SPIN1_M_ORDER,
+    SX2,
+    SX3,
+    SY2,
+    SY3,
+    SZ2,
+    SZ3,
+    _frame,
+    _term_table,
     build_cluster_hamiltonian,
     dipolar_tensor,
     p1_transition_frequencies,
@@ -86,6 +102,116 @@ def test_cluster_hamiltonian_coupling_toggle():
     # the uncoupled Hamiltonian is diagonal in the product basis
     off = without.matrix - np.diag(np.diag(without.matrix))
     assert np.abs(off).max() < 1e-12 * np.abs(without.matrix).max()
+
+
+def _reference_hamiltonian(positions, central, field, p1, nuclear_assignment,
+                           central_position=None, couplings_enabled=True):
+    """The original assembly: every term a dense product of Kronecker-
+    embedded operators, added to H in turn."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    n = len(positions)
+    if central_position is None:
+        central_position = np.zeros(3)
+    central_position = np.asarray(central_position, dtype=float)
+    R = _frame(central.quantization_axis)
+    gamma = CONSTANTS.gamma_e
+    B = field.B_z
+    dim = int(np.prod([3] + [2] * n))
+
+    def embed(op, site):
+        mats = [ID3 if k == 0 else ID2 for k in range(n + 1)]
+        mats[site] = op
+        out = mats[0]
+        for m in mats[1:]:
+            out = np.kron(out, m)
+        return out
+
+    Sc = [embed(o, 0) for o in (SX3, SY3, SZ3)]
+    Pb = [[embed(o, i + 1) for o in (SX2, SY2, SZ2)] for i in range(n)]
+    H = np.zeros((dim, dim), dtype=complex)
+    H += -gamma * B * Sc[2] + central.zero_field_splitting_D * (Sc[2] @ Sc[2])
+    for i in range(n):
+        m_i, axis_i = nuclear_assignment[i]
+        shift = p1.hyperfine_shift(m_i, axis_i)
+        H += (shift - gamma * B) * Pb[i][2]
+        if couplings_enabled:
+            A = dipolar_tensor(positions[i] - central_position)
+            A = R @ A @ R.T
+            for a in range(3):
+                for b in range(3):
+                    if A[a, b] != 0.0:
+                        H += A[a, b] * (Sc[a] @ Pb[i][b])
+    if couplings_enabled:
+        for i in range(n):
+            for j in range(i + 1, n):
+                J = dipolar_tensor(positions[j] - positions[i])
+                J = R @ J @ R.T
+                for a in range(3):
+                    for b in range(3):
+                        if J[a, b] != 0.0:
+                            H += J[a, b] * (Pb[i][a] @ Pb[j][b])
+    return H
+
+
+def _assignments(isotope, n):
+    """Cluster assignments that together give every (nuclear m, JT axis)
+    choice of the isotope to some spin."""
+    p1 = DEFAULTS.p1(isotope)
+    choices = [(m, k) for m in p1.nuclear_projections for k in range(4)]
+    return p1, [[choices[(start + i) % len(choices)] for i in range(n)]
+                for start in range(0, len(choices), n)]
+
+
+TILTED_CENTRAL = CentralSpinParams(
+    spin=1.0,
+    zero_field_splitting_D=DEFAULTS.central.zero_field_splitting_D,
+    quantization_axis=np.array([1.0, 2.0, -2.0]) / 3.0,
+    qubit_levels=(0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("isotope", ["n14", "n15"])
+def test_cluster_hamiltonian_matches_embedded_products(n, isotope):
+    rng = np.random.default_rng(100 * n + len(isotope))
+    pos = rng.uniform(-4.0, 4.0, (n, 3))
+    p1, assignments = _assignments(isotope, n)
+    for k, assign in enumerate(assignments):
+        kwargs = {}
+        central = DEFAULTS.central
+        if k % 2:
+            central = TILTED_CENTRAL
+            kwargs["central_position"] = rng.uniform(-1.0, 1.0, 3)
+        ham = build_cluster_hamiltonian(pos, central, DEFAULTS.field, p1,
+                                        assign, **kwargs)
+        ref = _reference_hamiltonian(pos, central, DEFAULTS.field, p1,
+                                     assign, **kwargs)
+        assert ham.dimension == 3 * 2**n
+        assert np.array_equal(ham.matrix, ref)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_uncoupled_hamiltonian_matches_embedded_products(n):
+    rng = np.random.default_rng(n)
+    pos = rng.uniform(-4.0, 4.0, (n, 3))
+    p1, (assign, *_) = _assignments("n15", n)
+    for central in (DEFAULTS.central, TILTED_CENTRAL):
+        ham = build_cluster_hamiltonian(
+            pos, central, FieldConfig(B_z=57.0), p1, assign,
+            central_position=np.array([0.5, -0.25, 1.0]),
+            couplings_enabled=False)
+        ref = _reference_hamiltonian(
+            pos, central, FieldConfig(B_z=57.0), p1, assign,
+            central_position=np.array([0.5, -0.25, 1.0]),
+            couplings_enabled=False)
+        assert np.array_equal(ham.matrix, ref)
+
+
+def test_term_table_is_read_only():
+    for arr in _term_table(2):
+        assert not arr.flags.writeable
+    idx, _vals, counts = _term_table(2)
+    assert counts.sum() == len(idx)
+    assert len(counts) == 2 + 10 * 2 + 9
 
 
 def test_p1_lines_at_operating_field():

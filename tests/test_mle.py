@@ -193,6 +193,51 @@ def test_library_round_trip():
     assert buf2.getvalue().splitlines()[4:] == text.splitlines()[4:]
 
 
+def _library_text():
+    buf = io.StringIO()
+    write_library(synthetic_library(n=3), buf)
+    return buf.getvalue()
+
+
+@given(cut=st.integers(0, len(_library_text())))
+@settings(max_examples=100, deadline=None)
+def test_read_library_truncated(cut):
+    text = _library_text()
+    try:
+        lib = read_library(io.StringIO(text[:cut]))
+    except ValueError:
+        return
+    # the format holds no per-cell sample count: only a cut inside the
+    # last cell's samples (or after them) can still parse, and it can
+    # shorten only that cell
+    assert cut > text.rindex("cell ") + len("cell 2 3 ")
+    full = synthetic_library(n=3)
+    assert sorted(lib.cells) == sorted(full.cells)
+    last = max(full.cells)
+    got = lib.cells[last]
+    assert np.array_equal(got[:-1], full.cells[last][:len(got) - 1])
+    assert all(np.array_equal(lib.cells[k], full.cells[k])
+               for k in full.cells if k != last)
+
+
+@pytest.mark.parametrize("line,replacement", [
+    ("schema", "schema\n"),
+    ("seed", "seed 3 n_samples 30\n"),
+    ("seed", "seed 3 samples 30 n_bins 40\n"),
+    ("thicknesses", "thicknesses\n"),
+    ("densities", "densities 1.0 two\n"),
+    ("cell", "cell 0\n"),
+    ("cell", "cell 0 9 1.0\n"),
+    ("cell 0 1", "cell 0 0 1.0\n"),
+])
+def test_read_library_malformed_lines(line, replacement):
+    lines = _library_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(line + " "))
+    lines[at] = replacement
+    with pytest.raises(ValueError, match=f"library file line {at + 1}:"):
+        read_library(io.StringIO("".join(lines)))
+
+
 def test_library_rejects_empty_cell():
     with pytest.raises(ValueError):
         CoherenceLibrary(thicknesses=np.array([1.0]),

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spinbath.bath import (BathConfiguration, BathGeometry, BathSpin,
@@ -205,3 +207,64 @@ def test_visibility_ratio_small_sample():
 def test_visibility_ratio_warns_out_of_regime():
     with pytest.warns(UserWarning):
         visibility_ratio_2d3d(3.0, 20.0, 50.0, 10, seed=1)
+
+
+def _yield_text():
+    rng = np.random.default_rng(8)
+    report = YieldReport(
+        densities=np.array([3.0, 6.0]), thicknesses=np.array([2.0, 10.0, 50.0]),
+        yield_fraction=rng.uniform(0.0, 1.0, (2, 3)),
+        yield_stderr=rng.uniform(0.0, 0.05, (2, 3)),
+        mean_rnn=np.array([6.85, 5.44]),
+        metadata={"seed": 8, "n_configs": 40, "master_thickness": 50.0})
+    buf = io.StringIO()
+    write_yield_report(report, buf)
+    return report, buf.getvalue()
+
+
+@given(cut=st.integers(0, len(_yield_text()[1])))
+@settings(max_examples=100, deadline=None)
+def test_read_yield_report_truncated(cut):
+    full, text = _yield_text()
+    try:
+        back = read_yield_report(io.StringIO(text[:cut]))
+    except ValueError:
+        return
+    # the format holds no row count: a cut at the end of a row parses as
+    # a report over the rows before it when they fill a grid, and a cut
+    # inside the last number shortens only the last row's mean_rnn
+    k, m = len(back.densities), len(back.thicknesses)
+    assert k == 1 or m == len(full.thicknesses)
+    assert np.array_equal(back.densities, full.densities[:k])
+    assert np.array_equal(back.thicknesses, full.thicknesses[:m])
+    assert np.array_equal(back.yield_fraction, full.yield_fraction[:k, :m])
+    assert np.array_equal(back.yield_stderr, full.yield_stderr[:k, :m])
+    assert np.array_equal(back.mean_rnn[:k - 1], full.mean_rnn[:k - 1])
+
+
+@pytest.mark.parametrize("at,replacement", [
+    (1, "meta seed 8 n_configs 40\n"),
+    (2, ""),
+    (3, "3.0 2.0 0.5 0.01\n"),
+    (4, "3.0 2.0 0.5 0.01 6.85\n"),
+])
+def test_read_yield_report_malformed_lines(at, replacement):
+    lines = _yield_text()[1].splitlines(keepends=True)
+    lines[at] = replacement
+    with pytest.raises(ValueError, match=f"yield-report file line {at + 1}:"):
+        read_yield_report(io.StringIO("".join(lines)))
+
+
+def test_read_yield_report_missing_row():
+    lines = _yield_text()[1].splitlines(keepends=True)
+    del lines[4]
+    with pytest.raises(ValueError, match="5 of 6"):
+        read_yield_report(io.StringIO("".join(lines)))
+
+
+def test_read_yield_report_skips_comment_lines():
+    # `spinbath yield --ratio` appends a '# visibility_ratio_2d3d' line
+    full, text = _yield_text()
+    back = read_yield_report(io.StringIO(
+        text + "# visibility_ratio_2d3d 1.5 mean_nu_2d 2.0 mean_nu_3d 1.0\n"))
+    assert np.array_equal(back.yield_fraction, full.yield_fraction)
