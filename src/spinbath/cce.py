@@ -12,7 +12,11 @@ Two Hamiltonian modes:
   and its results are bit-identical to evaluating the same expressions
   one time point at a time.
 - "full": complete dipolar tensors in the (2S+1) * 2^k Hilbert space,
-  used for small-bath oracles and cross-checks.
+  used for small-bath oracles and cross-checks.  Each cluster is
+  diagonalized once and propagated by one path for every bath state (a
+  sampled product state, or all 2^k basis states for the thermal trace)
+  and every time point together; clusters are limited to
+  MAX_FULL_CLUSTER_SPINS spins.
 
 The analytic order-1 Ramsey path (Gaussian envelope times cosine factors
 from strongly coupled spins) lives here too, with the strong/weak
@@ -34,13 +38,17 @@ from scipy.spatial import cKDTree
 
 from .bath import BathConfiguration
 from .constants import CONSTANTS, DEFAULTS, FieldConfig, P1Params
-from .hamiltonian import build_cluster_hamiltonian, dipolar_tensor, secular_Azz
+from .hamiltonian import (SPIN1_M_ORDER, build_cluster_hamiltonian,
+                          dipolar_tensor, secular_Azz)
 
 DIVISION_FLOOR = 1e-10
 MAX_CLUSTERS = 2_000_000
 # cce_coherence holds dense n x n couplings and an n x n x 3 pair-vector
 # temporary (~400 MB at this size).
 MAX_CCE_SPINS = 4096
+# A full-mode cluster of k spins diagonalizes a 3 * 2^k complex matrix:
+# 3072-dim at k = 10 (about 40 s of eigh on two cores), 12288-dim at 12.
+MAX_FULL_CLUSTER_SPINS = 10
 STRONG_THRESHOLD = 2.0 * np.pi  # visibility threshold nu >= 2 pi
 
 
@@ -375,7 +383,6 @@ def _subset_tables(levels, n, pad):
 # --- full-mode single-cluster propagation ---------------------------------
 
 def _pi_pulse_matrix(qubit_levels, nbath_dim):
-    from .hamiltonian import SPIN1_M_ORDER
     m0, m1 = qubit_levels
     i0 = SPIN1_M_ORDER.index(m0)
     i1 = SPIN1_M_ORDER.index(m1)
@@ -385,24 +392,39 @@ def _pi_pulse_matrix(qubit_levels, nbath_dim):
     return np.kron(P, np.eye(nbath_dim, dtype=complex))
 
 
+# Time points per batch of the full-mode propagator: a (3 * 2^k, time,
+# bath state) block holds at most about this many complex elements.
+_PROPAGATOR_CHUNK = 2**22
+
+
+def _check_full_cluster_size(k):
+    if k > MAX_FULL_CLUSTER_SPINS:
+        raise ValueError(f"full-mode clusters of {k} spins exceed the limit "
+                         f"of {MAX_FULL_CLUSTER_SPINS} spins")
+
+
 def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
                          bath_state, time_grid, field: FieldConfig = None,
                          central=None, p1: P1Params = None,
-                         central_position=None, rotating_frame=True,
-                         extra_z_shifts=None):
-    """Exact unitary evolution of central spin + cluster, full Hamiltonian.
+                         central_position=None, extra_z_shifts=None):
+    """Exact unitary evolution of central spin + cluster, full Hamiltonian,
+    in the rotating frame of the free central spin.
 
     bath_state: integer basis index of the bath product state (bit b of the
     index = 0 for m=+1/2 of cluster spin b), a normalized bath-state
     vector of dimension 2^k, or None for the thermal average over all 2^k
-    product basis states (fully mixed bath).  Returns complex L(t) over
-    time_grid, normalized so L(0) = 1.
+    product basis states (fully mixed bath), which are evolved as one batch.
+    Every bath state and time point goes through one batched pass per
+    free-evolution segment.  Returns complex L(t) over time_grid,
+    normalized so L(0) = 1.  Clusters of more than MAX_FULL_CLUSTER_SPINS
+    spins raise ValueError.
     """
     field = field or DEFAULTS.field
     central = central or DEFAULTS.central
     p1 = p1 or DEFAULTS.p1("n15")
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     k = len(positions)
+    _check_full_cluster_size(k)
     nb = 2**k
     ham = build_cluster_hamiltonian(positions, central, field, p1,
                                     nuclear_assignment,
@@ -416,83 +438,50 @@ def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
         hmat = hmat + np.kron(np.eye(3), np.diag(diag)).astype(complex)
     evals, evecs = np.linalg.eigh(hmat)
 
-    from .hamiltonian import SPIN1_M_ORDER
-    m0, m1 = central.qubit_levels
-    i0 = SPIN1_M_ORDER.index(m0)
-    i1 = SPIN1_M_ORDER.index(m1)
     if bath_state is None:
-        # thermal trace: evolve all 2^k bath basis states as one batch
-        pulse = _pi_pulse_matrix(central.qubit_levels, nb)
-        t = np.asarray(time_grid, dtype=float)
-        segs = sequence.segments
-        W = evecs.conj().T
-        psi0 = np.zeros((3 * nb, nb), dtype=complex)
-        cols = np.arange(nb)
-        psi0[i0 * nb + cols, cols] = 1.0 / np.sqrt(2.0)
-        psi0[i1 * nb + cols, cols] = 1.0 / np.sqrt(2.0)
-        out = np.empty(len(t), dtype=complex)
-        for it, tt in enumerate(t):
-            psi = psi0
-            for s, frac in enumerate(segs):
-                psi = evecs @ (np.exp(-1j * evals * (frac * tt))[:, None]
-                               * (W @ psi))
-                if s < len(segs) - 1:
-                    psi = pulse @ psi
-            c0 = psi[i0 * nb:(i0 + 1) * nb]
-            c1 = psi[i1 * nb:(i1 + 1) * nb]
-            out[it] = 2.0 * np.mean(np.sum(c1.conj() * c0, axis=0))
-        if rotating_frame:
-            e_free = {m: central.zero_field_splitting_D * m**2
-                      - CONSTANTS.gamma_e * field.B_z * m for m in (m0, m1)}
-            sign = 1.0
-            phase_time = np.zeros_like(t)
-            for s, frac in enumerate(segs):
-                phase_time += sign * frac * t
-                sign = -sign
-            out = out * np.exp(1j * (e_free[m0] - e_free[m1]) * phase_time)
-        return out
-    if np.isscalar(bath_state) or isinstance(bath_state, (int, np.integer)):
+        bath = np.eye(nb, dtype=complex)
+    elif isinstance(bath_state, (int, np.integer)):
         # public convention: bit i of bath_state is spin i (0 = m=+1/2);
         # convert to the kron layout where spin i is bit (k-1-i)
-        s = int(bath_state)
-        idx = 0
-        for i in range(k):
-            idx |= ((s >> i) & 1) << (k - 1 - i)
-        bvec = np.zeros(nb, dtype=complex)
-        bvec[idx] = 1.0
+        idx = sum(((int(bath_state) >> i) & 1) << (k - 1 - i)
+                  for i in range(k))
+        bath = np.zeros((nb, 1), dtype=complex)
+        bath[idx] = 1.0
     else:
-        bvec = np.asarray(bath_state, dtype=complex)
-    psi0 = np.zeros(3 * nb, dtype=complex)
-    psi0[i0 * nb:(i0 + 1) * nb] = bvec / np.sqrt(2.0)
-    psi0[i1 * nb:(i1 + 1) * nb] = bvec / np.sqrt(2.0)
+        bath = np.asarray(bath_state, dtype=complex).reshape(nb, 1)
+    m0, m1 = central.qubit_levels
+    i0, i1 = SPIN1_M_ORDER.index(m0), SPIN1_M_ORDER.index(m1)
+    psi0 = np.zeros((3, nb, bath.shape[1]), dtype=complex)
+    psi0[i0] = psi0[i1] = bath / np.sqrt(2.0)
+    psi0 = psi0.reshape(3 * nb, -1)
+    # the pi pulse swaps the two qubit blocks
+    pulse = np.arange(3 * nb).reshape(3, nb)
+    pulse[[i0, i1]] = pulse[[i1, i0]]
+    pulse = pulse.ravel()
 
-    pulse = _pi_pulse_matrix(central.qubit_levels, nb)
+    def apply(mat, v):  # mat acting on the first axis of v
+        return (mat @ v.reshape(len(mat), -1)).reshape(v.shape)
+
     t = np.asarray(time_grid, dtype=float)
-    segs = sequence.segments
     W = evecs.conj().T
-
+    x0 = (W @ psi0)[:, None, :]  # the first segment's start, at every t
     out = np.empty(len(t), dtype=complex)
-    for it, tt in enumerate(t):
-        psi = psi0
-        for s, frac in enumerate(segs):
-            psi = evecs @ (np.exp(-1j * evals * (frac * tt)) * (W @ psi))
-            if s < len(segs) - 1:
-                psi = pulse @ psi
-        c0 = psi[i0 * nb:(i0 + 1) * nb]
-        c1 = psi[i1 * nb:(i1 + 1) * nb]
-        out[it] = 2.0 * np.vdot(c1, c0)
-
-    if rotating_frame:
-        # remove the free central-spin phase (D m^2 - gamma_e B m)
-        e_free = {m: central.zero_field_splitting_D * m**2
-                  - CONSTANTS.gamma_e * field.B_z * m for m in (m0, m1)}
-        sign = 1.0
-        phase_time = np.zeros_like(t)
-        for s, frac in enumerate(segs):
-            phase_time += sign * frac * t
-            sign = -sign
-        out = out * np.exp(1j * (e_free[m0] - e_free[m1]) * phase_time)
-    return out
+    step = max(1, _PROPAGATOR_CHUNK // psi0.size)
+    for a in range(0, len(t), step):
+        tc = t[a:a + step]
+        for s, frac in enumerate(sequence.segments):
+            x = apply(W, psi[pulse]) if s else x0
+            phase = np.exp(-1j * np.multiply.outer(evals, frac * tc))
+            psi = apply(evecs, phase[:, :, None] * x)
+        c = psi.reshape(3, nb, len(tc), -1)
+        out[a:a + step] = 2.0 * np.mean(np.sum(c[i1].conj() * c[i0], axis=0),
+                                        axis=-1)
+    # remove the free central-spin phase (D m^2 - gamma_e B m), accumulated
+    # with alternating sign over the segments; exactly 0 for Hahn echo
+    e0, e1 = (central.zero_field_splitting_D * m**2
+              - CONSTANTS.gamma_e * field.B_z * m for m in (m0, m1))
+    signed = sum((-1.0) ** s * frac for s, frac in enumerate(sequence.segments))
+    return out * np.exp(1j * (e0 - e1) * signed * t)
 
 
 # --- secular-mode batched machinery ---------------------------------------
@@ -705,7 +694,8 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     averaged.  In "exact" mode each cluster contribution is averaged over
     the fully mixed bath state (thermal trace) with the configuration's
     frozen nuclear assignment.  Baths of more than MAX_CCE_SPINS spins
-    raise ValueError, and so does a diverging expansion: irreducible
+    raise ValueError, and so do full-mode clusters that could exceed
+    MAX_FULL_CLUSTER_SPINS spins and a diverging expansion: irreducible
     factors that overflow leave non-finite values in the product.
     """
     n = len(config)
@@ -722,6 +712,8 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     if n == 0:
         return CoherenceCurve(times=t, values=np.ones(len(t), complex), metadata=meta)
 
+    if cce.mode == "full":
+        _check_full_cluster_size(min(cce.order, n))
     clusters = enumerate_clusters(config, cce.order, cce.dipole_radius)
     meta["n_clusters"] = len(clusters)
     levels = _cluster_levels(clusters)
@@ -796,22 +788,14 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                                                 sequence, t, exact=exact)
         else:
             for ci, c in enumerate(clusters):
-                assign = [(ms[i], int(axes[i])) for i in c]
                 cl = np.array(c)
-                extra = hmf[cl] - jzz[np.ix_(cl, cl)] @ svals[cl]
-                if exact:
-                    l_raw[ci] = cluster_contribution(
-                        pos[list(c)], assign, sequence, None, t,
-                        field=field, central=central, p1=p1,
-                        central_position=config.central_position,
-                        extra_z_shifts=extra)
-                else:
-                    bs = int(_state_index(state_bits, np.array([c]), len(c))[0])
-                    l_raw[ci] = cluster_contribution(
-                        pos[list(c)], assign, sequence, bs, t,
-                        field=field, central=central, p1=p1,
-                        central_position=config.central_position,
-                        extra_z_shifts=extra)
+                bs = None if exact else int(_state_index(state_bits, cl[None],
+                                                         len(c))[0])
+                l_raw[ci] = cluster_contribution(
+                    pos[cl], [(ms[i], int(axes[i])) for i in c], sequence,
+                    bs, t, field=field, central=central, p1=p1,
+                    central_position=config.central_position,
+                    extra_z_shifts=hmf[cl] - jzz[np.ix_(cl, cl)] @ svals[cl])
 
         floored += _telescope(l_raw, levels, subsets)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -97,6 +97,9 @@ class CoherenceLibrary:
     cells: dict  # (i_thickness, j_density) -> sorted rates (ms^-1)
     n_bins: int = DEFAULT_N_BINS
     provenance: dict = dataclass_field(default_factory=dict)
+    # (i, j) -> RatePDF, built on first use
+    _pdf_cache: dict = dataclass_field(default_factory=dict, init=False,
+                                       compare=False, repr=False)
 
     def __post_init__(self):
         for key, samples in self.cells.items():
@@ -107,10 +110,10 @@ class CoherenceLibrary:
                 raise ValueError(f"invalid rate samples in cell {key}")
 
     def pdf(self, i, j) -> RatePDF:
-        cache = self.provenance.setdefault("_pdf_cache", {})
-        if (i, j) not in cache:
-            cache[(i, j)] = RatePDF(self.cells[(i, j)], n_bins=self.n_bins)
-        return cache[(i, j)]
+        if (i, j) not in self._pdf_cache:
+            self._pdf_cache[(i, j)] = RatePDF(self.cells[(i, j)],
+                                              n_bins=self.n_bins)
+        return self._pdf_cache[(i, j)]
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,23 @@ def _refined_density_axis(densities, step=REFINE_STEP_PPM):
     return np.linspace(lo, hi, n)
 
 
+def _interpolation(densities, refine_step):
+    """The refined density axis, with the grid index j and weight w of
+    each refined density: its cell PDFs mix as (1-w) P_j + w P_{j+1}."""
+    grid_d = np.asarray(densities, dtype=float)
+    axis = _refined_density_axis(grid_d, refine_step)
+    j = np.clip(np.searchsorted(grid_d, axis, side="right") - 1,
+                0, len(grid_d) - 2)
+    w = np.clip((axis - grid_d[j]) / (grid_d[j + 1] - grid_d[j]), 0.0, 1.0)
+    return axis, j, w
+
+
+def _mix(values, j, w):
+    """One row (1-w) values[j] + w values[j+1] per refined density, from
+    per-grid-density rows of values."""
+    return (1.0 - w)[:, None] * values[j] + w[:, None] * values[j + 1]
+
+
 def likelihood_surface(measured_rates, library: CoherenceLibrary,
                        refine_step=REFINE_STEP_PPM) -> LikelihoodSurface:
     """Log-likelihood of the rate dataset over (thickness, density).
@@ -212,27 +232,17 @@ def likelihood_surface(measured_rates, library: CoherenceLibrary,
     if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
         raise ValueError("measured rates must be finite and positive")
     rates = np.sort(rates)  # exact permutation invariance of the sums
-    dens_axis = _refined_density_axis(library.densities, refine_step)
-    grid_d = np.asarray(library.densities, dtype=float)
+    dens_axis, j, w = _interpolation(library.densities, refine_step)
+    nd = len(library.densities)
     nt = len(library.thicknesses)
     ll = np.empty((nt, len(dens_axis)))
     any_unfloored = False
     for i in range(nt):
-        evals = np.stack([library.pdf(i, j)(rates)
-                          for j in range(len(grid_d))])  # (nd_grid, n_meas)
-        raws = np.stack([library.pdf(i, j).raw(rates)
-                         for j in range(len(grid_d))])
-        for a, rho in enumerate(dens_axis):
-            j = min(np.searchsorted(grid_d, rho, side="right") - 1,
-                    len(grid_d) - 2)
-            j = max(j, 0)
-            w = (rho - grid_d[j]) / (grid_d[j + 1] - grid_d[j])
-            w = min(max(w, 0.0), 1.0)
-            p = (1.0 - w) * evals[j] + w * evals[j + 1]
-            praw = (1.0 - w) * raws[j] + w * raws[j + 1]
-            if np.any(praw > 0):
-                any_unfloored = True
-            ll[i, a] = np.sum(np.log(p))
+        evals = np.stack([library.pdf(i, c)(rates)
+                          for c in range(nd)])  # (nd, n_meas)
+        raws = np.stack([library.pdf(i, c).raw(rates) for c in range(nd)])
+        any_unfloored |= bool(np.any(_mix(raws, j, w) > 0))
+        ll[i] = np.log(_mix(evals, j, w)).sum(-1)
     if not any_unfloored:
         raise ValueError("data outside library support: "
                          "every cell evaluation hit the probability floor")
@@ -280,22 +290,12 @@ def estimate_density(surface: LikelihoodSurface,
 
 
 def _mle_argmax_density(rates, library, i_thickness, refine_step):
-    """Refined-axis argmax of the fixed-thickness likelihood linecut."""
-    dens_axis = _refined_density_axis(library.densities, refine_step)
-    grid_d = np.asarray(library.densities, dtype=float)
-    evals = np.stack([library.pdf(i_thickness, j)(rates)
-                      for j in range(len(grid_d))])
-    best, best_ll = dens_axis[0], -np.inf
-    for rho in dens_axis:
-        j = min(np.searchsorted(grid_d, rho, side="right") - 1,
-                len(grid_d) - 2)
-        j = max(j, 0)
-        w = (rho - grid_d[j]) / (grid_d[j + 1] - grid_d[j])
-        w = min(max(w, 0.0), 1.0)
-        ll = np.sum(np.log((1.0 - w) * evals[j] + w * evals[j + 1]))
-        if ll > best_ll:
-            best, best_ll = rho, ll
-    return float(best)
+    """Refined-axis argmax of the fixed-thickness likelihood linecut
+    (the first of equal maxima)."""
+    dens_axis, j, w = _interpolation(library.densities, refine_step)
+    evals = np.stack([library.pdf(i_thickness, c)(rates)
+                      for c in range(len(library.densities))])
+    return float(dens_axis[np.argmax(np.log(_mix(evals, j, w)).sum(-1))])
 
 
 def benchmark_error(library: CoherenceLibrary, sample_counts, trials,
@@ -348,8 +348,7 @@ def benchmark_error(library: CoherenceLibrary, sample_counts, trials,
 
 def write_library(library: CoherenceLibrary, fh):
     fh.write("# spinbath library v1\n")
-    prov = {k: v for k, v in library.provenance.items()
-            if not k.startswith("_")}
+    prov = library.provenance
     fh.write(f"schema {prov.get('schema', 'spinbath-library-1')}\n")
     fh.write(f"engine {prov.get('engine_version', __version__)}\n")
     fh.write(f"seed {prov.get('seed', 0)} n_samples {prov.get('n_samples', 0)} "

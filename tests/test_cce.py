@@ -19,6 +19,7 @@ from spinbath.cce import (
     DIVISION_FLOOR,
     HAHN_ECHO,
     MAX_CCE_SPINS,
+    MAX_FULL_CLUSTER_SPINS,
     RAMSEY,
     CCEConfig,
     CoherenceCurve,
@@ -35,8 +36,9 @@ from spinbath.cce import (
     spawn_seed,
     write_curve,
 )
-from spinbath.constants import DEFAULTS
-from spinbath.validation import dense_echo_reference
+from spinbath.constants import CONSTANTS, DEFAULTS
+from spinbath.hamiltonian import SPIN1_M_ORDER, build_cluster_hamiltonian
+from spinbath.validation import check_exact_propagation, dense_echo_reference
 
 
 def small_bath(seed=0, n=4, ppm=20.0, excl=2.0):
@@ -420,6 +422,190 @@ def test_thermal_contribution_equals_state_average():
                                     state, t)
     acc /= 2 ** len(cfg)
     assert np.max(np.abs(thermal - acc)) < 1e-12
+
+
+# --- full-mode propagator against the per-time-point loops ---------------
+
+def reference_cluster_contribution(positions, nuclear_assignment, sequence,
+                                   bath_state, time_grid, field=None,
+                                   central=None, p1=None,
+                                   central_position=None, rotating_frame=True,
+                                   extra_z_shifts=None):
+    """Full-mode cluster evolution one time point at a time, with separate
+    thermal and pure-state branches and the pi pulse as a matrix."""
+    field = field or DEFAULTS.field
+    central = central or DEFAULTS.central
+    p1 = p1 or DEFAULTS.p1("n15")
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    k = len(positions)
+    nb = 2**k
+    ham = build_cluster_hamiltonian(positions, central, field, p1,
+                                    nuclear_assignment,
+                                    central_position=central_position)
+    hmat = ham.matrix
+    if extra_z_shifts is not None:
+        bits = ((np.arange(nb)[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1)
+        diag = (0.5 - bits) @ np.asarray(extra_z_shifts, dtype=float)
+        hmat = hmat + np.kron(np.eye(3), np.diag(diag)).astype(complex)
+    evals, evecs = np.linalg.eigh(hmat)
+
+    m0, m1 = central.qubit_levels
+    i0 = SPIN1_M_ORDER.index(m0)
+    i1 = SPIN1_M_ORDER.index(m1)
+    if bath_state is None:
+        pulse = cce_module._pi_pulse_matrix(central.qubit_levels, nb)
+        t = np.asarray(time_grid, dtype=float)
+        segs = sequence.segments
+        W = evecs.conj().T
+        psi0 = np.zeros((3 * nb, nb), dtype=complex)
+        cols = np.arange(nb)
+        psi0[i0 * nb + cols, cols] = 1.0 / np.sqrt(2.0)
+        psi0[i1 * nb + cols, cols] = 1.0 / np.sqrt(2.0)
+        out = np.empty(len(t), dtype=complex)
+        for it, tt in enumerate(t):
+            psi = psi0
+            for s, frac in enumerate(segs):
+                psi = evecs @ (np.exp(-1j * evals * (frac * tt))[:, None]
+                               * (W @ psi))
+                if s < len(segs) - 1:
+                    psi = pulse @ psi
+            c0 = psi[i0 * nb:(i0 + 1) * nb]
+            c1 = psi[i1 * nb:(i1 + 1) * nb]
+            out[it] = 2.0 * np.mean(np.sum(c1.conj() * c0, axis=0))
+        if rotating_frame:
+            e_free = {m: central.zero_field_splitting_D * m**2
+                      - CONSTANTS.gamma_e * field.B_z * m for m in (m0, m1)}
+            sign = 1.0
+            phase_time = np.zeros_like(t)
+            for s, frac in enumerate(segs):
+                phase_time += sign * frac * t
+                sign = -sign
+            out = out * np.exp(1j * (e_free[m0] - e_free[m1]) * phase_time)
+        return out
+    if np.isscalar(bath_state) or isinstance(bath_state, (int, np.integer)):
+        s = int(bath_state)
+        idx = 0
+        for i in range(k):
+            idx |= ((s >> i) & 1) << (k - 1 - i)
+        bvec = np.zeros(nb, dtype=complex)
+        bvec[idx] = 1.0
+    else:
+        bvec = np.asarray(bath_state, dtype=complex)
+    psi0 = np.zeros(3 * nb, dtype=complex)
+    psi0[i0 * nb:(i0 + 1) * nb] = bvec / np.sqrt(2.0)
+    psi0[i1 * nb:(i1 + 1) * nb] = bvec / np.sqrt(2.0)
+
+    pulse = cce_module._pi_pulse_matrix(central.qubit_levels, nb)
+    t = np.asarray(time_grid, dtype=float)
+    segs = sequence.segments
+    W = evecs.conj().T
+
+    out = np.empty(len(t), dtype=complex)
+    for it, tt in enumerate(t):
+        psi = psi0
+        for s, frac in enumerate(segs):
+            psi = evecs @ (np.exp(-1j * evals * (frac * tt)) * (W @ psi))
+            if s < len(segs) - 1:
+                psi = pulse @ psi
+        c0 = psi[i0 * nb:(i0 + 1) * nb]
+        c1 = psi[i1 * nb:(i1 + 1) * nb]
+        out[it] = 2.0 * np.vdot(c1, c0)
+
+    if rotating_frame:
+        e_free = {m: central.zero_field_splitting_D * m**2
+                  - CONSTANTS.gamma_e * field.B_z * m for m in (m0, m1)}
+        sign = 1.0
+        phase_time = np.zeros_like(t)
+        for s, frac in enumerate(segs):
+            phase_time += sign * frac * t
+            sign = -sign
+        out = out * np.exp(1j * (e_free[m0] - e_free[m1]) * phase_time)
+    return out
+
+
+# batching sums in another order than the loop; bound from ROADMAP item 4
+PROPAGATOR_TOL = 1e-12
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_propagator_matches_reference(sequence, k):
+    cfg = small_bath(seed=k, n=k)
+    assign = [(s.nuclear_m, int(s.jt_axis)) for s in cfg.spins]
+    rng = np.random.default_rng(k)
+    vec = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+    vec /= np.linalg.norm(vec)
+    shifts = rng.normal(size=k) * 300.0
+    t = np.linspace(0.0, 0.05, 30)
+    for state in (None, 0, 2**k - 1, vec):
+        for extra in (None, shifts):
+            new = cluster_contribution(cfg.positions, assign, sequence, state,
+                                       t, extra_z_shifts=extra)
+            ref = reference_cluster_contribution(
+                cfg.positions, assign, sequence, state, t,
+                extra_z_shifts=extra)
+            assert np.max(np.abs(new - ref)) <= PROPAGATOR_TOL
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+def test_propagator_across_time_chunks(sequence):
+    # thermal 5-spin clusters: 3 * 32 * 32 complex elements per time point
+    k = 5
+    per_chunk = cce_module._PROPAGATOR_CHUNK // (3 * 4**k)
+    t = np.linspace(0.0, 0.05, per_chunk + 7)
+    cfg = small_bath(seed=8, n=k)
+    assign = [(s.nuclear_m, int(s.jt_axis)) for s in cfg.spins]
+    new = cluster_contribution(cfg.positions, assign, sequence, None, t)
+    ref = reference_cluster_contribution(cfg.positions, assign, sequence,
+                                         None, t)
+    assert np.max(np.abs(new - ref)) <= PROPAGATOR_TOL
+
+
+# The thermal (exact) order-3 expansion diverges on these baths once pair
+# contributions approach zero (|L| reaches 30 by 0.05 ms here), and its
+# telescoping division then amplifies rounding; exact mode is compared
+# before that.
+@pytest.mark.parametrize("mode,t_max", [("sample", 0.2), ("exact", 0.01)])
+@pytest.mark.parametrize("order", [2, 3])
+def test_full_mode_cce_matches_reference_propagator(monkeypatch, mode, t_max,
+                                                    order):
+    # check 2's dilute geometry and its first 6-spin seed, 5 nearest spins
+    geom = BathGeometry(5.0, 30.0, default_lateral_radius(5.0, 30.0, 12),
+                        "continuum-poisson")
+    cfg = keep_nearest(generate_bath(geom, 16, exclusion_radius=3.0), 5)
+    t = np.linspace(0.0, t_max, 25)
+    cce = CCEConfig(order=order, dipole_radius=1e9, n_bath_states=2,
+                    time_grid=t, mode="full", bath_state_mode=mode)
+    new = cce_coherence(cfg, cce, HAHN_ECHO, seed=4).values
+    monkeypatch.setattr(cce_module, "cluster_contribution",
+                        reference_cluster_contribution)
+    ref = cce_coherence(cfg, cce, HAHN_ECHO, seed=4).values
+    assert np.max(np.abs(new - ref)) <= PROPAGATOR_TOL
+
+
+def test_full_cluster_size_guard(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the size guard must come first")
+
+    k = MAX_FULL_CLUSTER_SPINS + 1
+    cfg = line_bath(k)
+    monkeypatch.setattr(cce_module, "build_cluster_hamiltonian", never)
+    assign = [(0.5, 0)] * k
+    with pytest.raises(ValueError, match=f"limit of {MAX_FULL_CLUSTER_SPINS}"):
+        cluster_contribution(cfg.positions, assign, HAHN_ECHO, None,
+                             np.linspace(0.0, 0.01, 5))
+    monkeypatch.setattr(cce_module, "enumerate_clusters", never)
+    cce = CCEConfig(order=12, dipole_radius=1e9, n_bath_states=1,
+                    time_grid=np.linspace(0.0, 0.01, 5), mode="full")
+    with pytest.raises(ValueError, match=f"clusters of {k} spins"):
+        cce_coherence(cfg, cce, HAHN_ECHO, seed=0)
+
+
+def test_oracle_check_in_fast_gate():
+    # the benchmark's oracle pass at its reference seed: one 6-spin bath
+    # (check seed 16, the first from 16 whose bath holds 6 spins), 2 states
+    check = check_exact_propagation(n_baths=1, seed=16, n_states=2)
+    assert check.details["max_cce6_error"] < 1e-8
 
 
 def test_secular_full_agreement_weak_coupling():

@@ -122,6 +122,24 @@ def test_coherence_diverging_expansion(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_coherence_oversized_full_clusters(monkeypatch, capsys):
+    import spinbath.cce as cce_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the size guard must come first")
+
+    monkeypatch.setattr(cce_module, "enumerate_clusters", never)
+    # seed 0 draws 12 spins here
+    code, out, err = run_cli(capsys, "coherence", "--mode", "full",
+                             "--order", "12", "--target-spins", "12",
+                             "--density", "20", "--thickness", "10",
+                             "--seed", "0", "--bath-state-mode", "exact")
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: full-mode clusters of 12 spins exceed the limit "
+                   f"of {cce_module.MAX_FULL_CLUSTER_SPINS} spins\n")
+
+
 def test_mle_truncated_library(tmp_path, capsys):
     lib_file = tmp_path / "library.txt"
     code, _, _ = run_cli(capsys, "library", "--densities", "2,4",

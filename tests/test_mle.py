@@ -1,10 +1,12 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinbath.mle as mle_module
 from spinbath.mle import (
     CoherenceLibrary,
     DensityEstimate,
@@ -107,6 +109,83 @@ def test_loglikelihood_doubles_with_duplicated_data():
     s1 = likelihood_surface(rates, lib)
     s2 = likelihood_surface(np.concatenate([rates, rates]), lib)
     assert np.allclose(s2.log_likelihood, 2.0 * s1.log_likelihood)
+
+
+# --- refined-axis interpolation against the per-density loops ------------
+
+def reference_surface_rows(rates, library, i, refine_step):
+    """One likelihood-surface row and its any-unfloored flag, one refined
+    density at a time."""
+    dens_axis = mle_module._refined_density_axis(library.densities,
+                                                 refine_step)
+    grid_d = np.asarray(library.densities, dtype=float)
+    evals = np.stack([library.pdf(i, j)(rates) for j in range(len(grid_d))])
+    raws = np.stack([library.pdf(i, j).raw(rates)
+                     for j in range(len(grid_d))])
+    row = np.empty(len(dens_axis))
+    any_unfloored = False
+    for a, rho in enumerate(dens_axis):
+        j = min(np.searchsorted(grid_d, rho, side="right") - 1,
+                len(grid_d) - 2)
+        j = max(j, 0)
+        w = (rho - grid_d[j]) / (grid_d[j + 1] - grid_d[j])
+        w = min(max(w, 0.0), 1.0)
+        p = (1.0 - w) * evals[j] + w * evals[j + 1]
+        praw = (1.0 - w) * raws[j] + w * raws[j + 1]
+        if np.any(praw > 0):
+            any_unfloored = True
+        row[a] = np.sum(np.log(p))
+    return row, any_unfloored
+
+
+def reference_argmax_density(rates, library, i, refine_step):
+    dens_axis = mle_module._refined_density_axis(library.densities,
+                                                 refine_step)
+    grid_d = np.asarray(library.densities, dtype=float)
+    evals = np.stack([library.pdf(i, j)(rates) for j in range(len(grid_d))])
+    best, best_ll = dens_axis[0], -np.inf
+    for rho in dens_axis:
+        j = min(np.searchsorted(grid_d, rho, side="right") - 1,
+                len(grid_d) - 2)
+        j = max(j, 0)
+        w = (rho - grid_d[j]) / (grid_d[j + 1] - grid_d[j])
+        w = min(max(w, 0.0), 1.0)
+        ll = np.sum(np.log((1.0 - w) * evals[j] + w * evals[j + 1]))
+        if ll > best_ll:
+            best, best_ll = rho, ll
+    return float(best)
+
+
+def uneven_library():
+    lib = synthetic_library(seed=3, n=300)
+    return replace(lib, densities=np.array([1.0, 1.7, 4.0, 8.5]))
+
+
+@pytest.mark.parametrize("refine_step", [0.25, 0.1, 0.33, 3.0])
+@pytest.mark.parametrize("lib", [synthetic_library(), uneven_library()],
+                         ids=["even", "uneven"])
+def test_interpolation_matches_per_density_loops(lib, refine_step):
+    rng = np.random.default_rng(int(refine_step * 100))
+    for trial in range(12):
+        n = int(rng.integers(1, 400))
+        rates = np.sort(lognormal_rates(rng.uniform(-0.5, 1.5), 0.3, n,
+                                        seed=trial))
+        surf = likelihood_surface(rates, lib, refine_step=refine_step)
+        for i in range(len(lib.thicknesses)):
+            row, unfloored = reference_surface_rows(rates, lib, i,
+                                                    refine_step)
+            assert np.array_equal(surf.log_likelihood[i], row)
+            assert mle_module._mle_argmax_density(rates, lib, i, refine_step) \
+                == reference_argmax_density(rates, lib, i, refine_step)
+
+
+def test_pdf_cache_is_private():
+    lib = synthetic_library(n=50)
+    unused = replace(lib, provenance={})
+    assert lib.pdf(1, 2) is lib.pdf(1, 2)
+    assert lib.provenance == {}
+    assert lib == unused
+    assert repr(lib) == repr(unused)
 
 
 def test_likelihood_rejects_unsupported_data():
