@@ -5,6 +5,13 @@ axis and lateral radius R around the central spin, which sits at the origin
 (slab mid-plane).  Two placement modes: independent occupancy of carbon
 lattice sites (default) and a continuum Poisson process (useful because its
 nearest-neighbor statistics have closed forms).
+
+A configuration is three read-only arrays indexed by spin: positions
+(n, 3) in nm, Jahn-Teller axes (n,) int in 0..3 and nuclear projections
+(n,) float.  Slicing and trimming select spins by one mask or index into
+all three.  A bath file's `seed` line holds the seed entropy followed by
+the spawn key, if any, so SeedSequence(entropy, spawn_key=key) draws the
+same bath again; an int seed writes `seed <int>` alone.
 """
 
 from __future__ import annotations
@@ -59,27 +66,47 @@ class BathGeometry:
 
 
 @dataclass(frozen=True)
-class BathSpin:
-    position: np.ndarray  # (3,) nm
-    jt_axis: int  # 0..3
-    nuclear_m: float
-
-
-@dataclass(frozen=True)
 class BathConfiguration:
-    central_position: np.ndarray
-    spins: tuple  # of BathSpin
+    """One bath as three read-only arrays: spin k sits at positions[k]
+    (nm), with Jahn-Teller axis jt_axes[k] in 0..3 and nuclear projection
+    nuclear_m[k].  `seed` and `spawn_key` name the SeedSequence it was
+    drawn from: SeedSequence(seed, spawn_key=spawn_key) regenerates it."""
+
+    central_position: np.ndarray  # (3,) nm
+    positions: np.ndarray  # (n, 3) nm
+    jt_axes: np.ndarray  # (n,) int
+    nuclear_m: np.ndarray  # (n,) float
     geometry: BathGeometry
     seed: int
+    spawn_key: tuple = ()
 
-    @property
-    def positions(self):
-        if not self.spins:
-            return np.zeros((0, 3))
-        return np.array([s.position for s in self.spins])
+    def __post_init__(self):
+        # private copies, so that no caller can change a configuration
+        central = np.array(self.central_position, dtype=float)
+        pos = np.array(self.positions, dtype=float)
+        axes = np.array(self.jt_axes)
+        ms = np.array(self.nuclear_m, dtype=float)
+        n = len(pos) if pos.ndim else 0
+        if (central.shape != (3,) or pos.shape != (n, 3)
+                or axes.shape != (n,) or ms.shape != (n,)):
+            raise ValueError(
+                f"bath positions, jt_axes and nuclear_m have shapes "
+                f"{pos.shape}, {axes.shape} and {ms.shape}, expected "
+                f"(n, 3), (n,) and (n,) with a central position of shape (3,)")
+        if n and (axes.dtype.kind not in "iu"
+                  or axes.min() < 0 or axes.max() > 3):
+            raise ValueError("bath Jahn-Teller axes must be integers in 0..3")
+        if not (np.isfinite(pos).all() and np.isfinite(central).all()):
+            raise ValueError("bath positions must be finite")
+        for name, arr in (("central_position", central), ("positions", pos),
+                          ("jt_axes", axes.astype(np.int64, copy=False)),
+                          ("nuclear_m", ms)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "spawn_key", tuple(map(int, self.spawn_key)))
 
     def __len__(self):
-        return len(self.spins)
+        return len(self.positions)
 
 
 def default_lateral_radius(density_ppm, thickness, target_spins=36):
@@ -104,16 +131,15 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
     independently with probability density_ppm * 1e-6; in continuum mode the
     count is Poisson with the same expected density.  Jahn-Teller axes are
     uniform over the four <111> directions and nuclear projections uniform
-    over `nuclear_projections`.  Deterministic given (geometry, seed).
+    over `nuclear_projections`.  Deterministic given (geometry, seed); the
+    seed is an int or a SeedSequence with int entropy.
     """
     if geometry.expected_count > MAX_EXPECTED_SPINS:
         raise ValueError("bath too large: expected count exceeds cap")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-        seed_record = int(ss.generate_state(1, np.uint64)[0])
-    else:
-        ss = np.random.SeedSequence(seed)
-        seed_record = int(seed)
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    if not isinstance(ss.entropy, (int, np.integer)):
+        raise ValueError("bath seed entropy must be one integer")
     rng = np.random.default_rng(ss)
     R = geometry.lateral_radius
     t = geometry.thickness
@@ -155,14 +181,18 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
     pos = pos[keep]
     axes = rng.integers(0, 4, len(pos))
     ms = rng.choice(np.asarray(nuclear_projections, dtype=float), size=len(pos))
-    spins = tuple(
-        BathSpin(position=pos[k].copy(), jt_axis=int(axes[k]), nuclear_m=float(ms[k]))
-        for k in range(len(pos))
-    )
     return BathConfiguration(
-        central_position=np.zeros(3), spins=spins, geometry=geometry,
-        seed=seed_record,
+        central_position=np.zeros(3), positions=pos, jt_axes=axes,
+        nuclear_m=ms, geometry=geometry, seed=int(ss.entropy),
+        spawn_key=ss.spawn_key,
     )
+
+
+def _select(config: BathConfiguration, index, geometry) -> BathConfiguration:
+    """The spins of `config` picked by a boolean mask or an index array."""
+    return BathConfiguration(config.central_position, config.positions[index],
+                             config.jt_axes[index], config.nuclear_m[index],
+                             geometry, config.seed, config.spawn_key)
 
 
 def slice_bath(config: BathConfiguration, new_thickness) -> BathConfiguration:
@@ -172,11 +202,9 @@ def slice_bath(config: BathConfiguration, new_thickness) -> BathConfiguration:
     if new_thickness > config.geometry.thickness:
         raise ValueError("slice thickness exceeds bath thickness")
     z0 = config.central_position[2]
-    spins = tuple(s for s in config.spins
-                  if abs(s.position[2] - z0) <= new_thickness / 2.0)
-    geom = replace(config.geometry, thickness=float(new_thickness))
-    return BathConfiguration(central_position=config.central_position,
-                             spins=spins, geometry=geom, seed=config.seed)
+    keep = np.abs(config.positions[:, 2] - z0) <= new_thickness / 2.0
+    return _select(config, keep, replace(config.geometry,
+                                         thickness=float(new_thickness)))
 
 
 def keep_nearest(config: BathConfiguration, n: int) -> BathConfiguration:
@@ -185,15 +213,12 @@ def keep_nearest(config: BathConfiguration, n: int) -> BathConfiguration:
         return config
     d = np.linalg.norm(config.positions - config.central_position, axis=1)
     order = np.argsort(d, kind="stable")[:n]
-    spins = tuple(config.spins[i] for i in sorted(order))
-    return BathConfiguration(central_position=config.central_position,
-                             spins=spins, geometry=config.geometry,
-                             seed=config.seed)
+    return _select(config, np.sort(order), config.geometry)
 
 
 def nearest_neighbor_distance(config: BathConfiguration) -> float:
     """Distance from the central spin to its nearest bath spin (nm)."""
-    if not config.spins:
+    if not len(config):
         raise ValueError("no bath spins")
     d = np.linalg.norm(config.positions - config.central_position, axis=1)
     return float(d.min())
@@ -210,36 +235,41 @@ def mean_nn_distance_formula(density_ppm) -> float:
 # --- serialization ------------------------------------------------------
 
 def write_bath(config: BathConfiguration, fh):
-    """Round-trip-lossless structured text record of one configuration."""
+    """Round-trip-lossless structured text record of one configuration.
+    The seed line holds the seed entropy, then the spawn key, if any."""
     g = config.geometry
     fh.write("# spinbath bath-config v1\n")
-    fh.write(f"seed {config.seed}\n")
+    fh.write(" ".join(map(str, ("seed", config.seed, *config.spawn_key))) + "\n")
     fh.write(f"geometry {g.density_ppm!r} {g.thickness!r} "
              f"{g.lateral_radius!r} {g.placement_mode}\n")
     cx, cy, cz = (float(v) for v in config.central_position)
     fh.write(f"central {cx!r} {cy!r} {cz!r}\n")
     fh.write(f"nspins {len(config)}\n")
-    for s in config.spins:
-        x, y, z = (float(v) for v in s.position)
-        fh.write(f"spin {x!r} {y!r} {z!r} {s.jt_axis} {float(s.nuclear_m)!r}\n")
+    for (x, y, z), axis, m in zip(config.positions.tolist(),
+                                  config.jt_axes.tolist(),
+                                  config.nuclear_m.tolist()):
+        fh.write(f"spin {x!r} {y!r} {z!r} {axis} {m!r}\n")
 
 
 def read_bath(fh) -> BathConfiguration:
     """Inverse of write_bath.  A short file or a malformed line raises
     ValueError naming the line."""
     rd = LineReader(fh, "bath-config v1", "bath")
-    (seed,) = rd.record("seed", int)
+    ((seed, *spawn_key),) = rd.record("seed", [int])
     geom = BathGeometry(*rd.record("geometry", float, float, float, str))
     central = np.array(rd.record("central", float, float, float))
     (nspins,) = rd.record("nspins", int)
     if nspins < 0:
         raise rd.error("negative spin count")
-    spins = []
+    rows = []
     for _ in range(nspins):
-        x, y, z, axis, m = rd.record("spin", float, float, float, int, float)
-        if not 0 <= axis <= 3:
-            raise rd.error(f"Jahn-Teller axis {axis} outside 0..3")
-        spins.append(BathSpin(position=np.array([x, y, z]), jt_axis=axis,
-                              nuclear_m=m))
-    return BathConfiguration(central_position=central, spins=tuple(spins),
-                             geometry=geom, seed=seed)
+        row = rd.record("spin", float, float, float, int, float)
+        if not 0 <= row[3] <= 3:
+            raise rd.error(f"Jahn-Teller axis {row[3]} outside 0..3")
+        rows.append(row)
+    pos = np.array([r[:3] for r in rows], dtype=float).reshape(nspins, 3)
+    return BathConfiguration(
+        central_position=central, positions=pos,
+        jt_axes=np.array([r[3] for r in rows], dtype=np.int64),
+        nuclear_m=np.array([r[4] for r in rows], dtype=float),
+        geometry=geom, seed=seed, spawn_key=tuple(spawn_key))

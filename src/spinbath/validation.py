@@ -128,8 +128,7 @@ def check_exact_propagation(n_baths=20, seed=2000, n_states=4):
                             default_lateral_radius(5.0, 30.0, 12),
                             "continuum-poisson")
         cfg = keep_nearest(generate_bath(geom, seed + s, exclusion_radius=3.0), 6)
-        ms = np.array([sp.nuclear_m for sp in cfg.spins])
-        axes = np.array([sp.jt_axis for sp in cfg.spins])
+        ms, axes = cfg.nuclear_m, cfg.jt_axes
         # reference averaged over the same sampled product states the
         # CCE engine will draw from this seed
         rng = np.random.default_rng(as_seed_sequence(seed + 77 + s))

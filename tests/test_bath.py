@@ -1,4 +1,5 @@
 import io
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbath.bath import (
+    _DIAMOND_BASIS,
     BOND_LENGTH_NM,
+    BathConfiguration,
     BathGeometry,
     default_lateral_radius,
     generate_bath,
@@ -35,7 +38,7 @@ def test_determinism():
     b = generate_bath(geom, 42)
     assert len(a) == len(b)
     assert np.array_equal(a.positions, b.positions)
-    assert [s.jt_axis for s in a.spins] == [s.jt_axis for s in b.spins]
+    assert np.array_equal(a.jt_axes, b.jt_axes)
     c = generate_bath(geom, 43)
     assert len(c) != len(a) or not np.array_equal(c.positions, a.positions)
 
@@ -75,7 +78,7 @@ def test_slice_and_keep_nearest():
     geom = BathGeometry(20.0, 20.0, 20.0)
     cfg = generate_bath(geom, 5)
     sliced = slice_bath(cfg, 4.0)
-    assert all(abs(s.position[2]) <= 2.0 for s in sliced.spins)
+    assert np.all(np.abs(sliced.positions[:, 2]) <= 2.0)
     assert sliced.geometry.thickness == 4.0
     trimmed = keep_nearest(cfg, 7)
     assert len(trimmed) == 7
@@ -113,7 +116,7 @@ def test_round_trip_lossless():
     assert len(back) == len(cfg)
     assert np.array_equal(back.positions, cfg.positions)
     assert back.geometry == cfg.geometry
-    assert [s.nuclear_m for s in back.spins] == [s.nuclear_m for s in cfg.spins]
+    assert np.array_equal(back.nuclear_m, cfg.nuclear_m)
 
 
 @given(ppm=st.floats(0.5, 50), t=st.floats(1.0, 40.0))
@@ -127,8 +130,8 @@ def test_default_lateral_radius_inverts_expected_count(ppm, t):
 def test_nuclear_projection_choices():
     geom = BathGeometry(30.0, 10.0, 15.0)
     cfg = generate_bath(geom, 2, nuclear_projections=(-1.0, 0.0, 1.0))
-    assert {s.nuclear_m for s in cfg.spins} <= {-1.0, 0.0, 1.0}
-    assert {s.jt_axis for s in cfg.spins} <= {0, 1, 2, 3}
+    assert set(cfg.nuclear_m.tolist()) <= {-1.0, 0.0, 1.0}
+    assert set(cfg.jt_axes.tolist()) <= {0, 1, 2, 3}
 
 
 def _bath_text(n_spins=6):
@@ -167,3 +170,191 @@ def test_read_bath_malformed_lines(line, replacement):
     lines[at] = replacement
     with pytest.raises(ValueError, match="bath file line"):
         read_bath(io.StringIO("".join(lines)))
+
+
+# --- bit-identity against the per-spin implementation ----------------------
+#
+# The per-spin dataclass implementation that the array layout replaced,
+# kept as the reference: generation draws the same numbers in the same
+# order, and slicing and trimming pick the same spins.
+
+@dataclass(frozen=True)
+class ReferenceSpin:
+    position: np.ndarray
+    jt_axis: int
+    nuclear_m: float
+
+
+def reference_generate_bath(geometry, seed, nuclear_projections=(-0.5, 0.5),
+                            exclusion_radius=BOND_LENGTH_NM):
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(ss)
+    R = geometry.lateral_radius
+    t = geometry.thickness
+    prob = geometry.density_ppm * 1e-6
+    if geometry.placement_mode == "lattice-site":
+        a = CONSTANTS.diamond_lattice_constant
+        nx = int(np.ceil(2 * R / a)) + 1
+        nz = int(np.ceil(t / a)) + 1
+        nsites = nx * nx * nz * 8
+        count = rng.binomial(nsites, prob)
+        idx = rng.choice(nsites, size=count, replace=False) if count \
+            else np.array([], dtype=int)
+        sub = idx % 8
+        cell = idx // 8
+        ix = cell % nx
+        iy = (cell // nx) % nx
+        iz = cell // (nx * nx)
+        pos = (np.stack([ix, iy, iz], axis=1) + _DIAMOND_BASIS[sub]) * a
+        pos[:, 0] -= nx * a / 2.0
+        pos[:, 1] -= nx * a / 2.0
+        pos[:, 2] -= nz * a / 2.0
+    else:
+        rho = geometry.number_density
+        count = rng.poisson(rho * np.pi * R * R * t)
+        r2 = rng.uniform(0.0, R * R, count)
+        phi = rng.uniform(0.0, 2 * np.pi, count)
+        pos = np.stack([
+            np.sqrt(r2) * np.cos(phi),
+            np.sqrt(r2) * np.sin(phi),
+            rng.uniform(-t / 2.0, t / 2.0, count),
+        ], axis=1)
+    keep = (
+        (pos[:, 0] ** 2 + pos[:, 1] ** 2 <= R * R)
+        & (np.abs(pos[:, 2]) <= t / 2.0)
+        & (np.linalg.norm(pos, axis=1) > exclusion_radius)
+    )
+    pos = pos[keep]
+    axes = rng.integers(0, 4, len(pos))
+    ms = rng.choice(np.asarray(nuclear_projections, dtype=float), size=len(pos))
+    return tuple(ReferenceSpin(position=pos[k].copy(), jt_axis=int(axes[k]),
+                               nuclear_m=float(ms[k]))
+                 for k in range(len(pos)))
+
+
+def reference_slice_bath(spins, central_position, new_thickness):
+    z0 = central_position[2]
+    return tuple(s for s in spins
+                 if abs(s.position[2] - z0) <= new_thickness / 2.0)
+
+
+def reference_keep_nearest(spins, central_position, n):
+    if len(spins) <= n:
+        return spins
+    positions = np.array([s.position for s in spins])
+    d = np.linalg.norm(positions - central_position, axis=1)
+    order = np.argsort(d, kind="stable")[:n]
+    return tuple(spins[i] for i in sorted(order))
+
+
+def assert_same_spins(cfg, spins):
+    positions = np.array([s.position for s in spins]) if spins \
+        else np.zeros((0, 3))
+    assert np.array_equal(cfg.positions, positions)
+    assert np.array_equal(cfg.jt_axes, [s.jt_axis for s in spins])
+    assert np.array_equal(cfg.nuclear_m, [s.nuclear_m for s in spins])
+
+
+@pytest.mark.parametrize("mode", ["lattice-site", "continuum-poisson"])
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"exclusion_radius": 2.5, "nuclear_projections": (-1.0, 0.0, 1.0)},
+])
+def test_arrays_match_per_spin_reference(mode, kwargs):
+    geom = BathGeometry(20.0, 12.0, default_lateral_radius(20.0, 12.0, 40),
+                        mode)
+    seeds = list(range(25)) + [np.random.SeedSequence(9, spawn_key=(0, i))
+                               for i in range(25)]
+    for seed in seeds:
+        cfg = generate_bath(geom, seed, **kwargs)
+        spins = reference_generate_bath(geom, seed, **kwargs)
+        assert_same_spins(cfg, spins)
+        for t in (0.5, 3.0, 12.0):
+            assert_same_spins(slice_bath(cfg, t), reference_slice_bath(
+                spins, cfg.central_position, t))
+        for n in (0, 1, 7, len(spins)):
+            assert_same_spins(keep_nearest(cfg, n), reference_keep_nearest(
+                spins, cfg.central_position, n))
+
+
+def test_slice_boundary_matches_per_spin_reference():
+    z = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+    positions = np.stack([np.ones(6), np.zeros(6), z], axis=1)
+    cfg = BathConfiguration(np.zeros(3), positions, np.arange(6) % 4,
+                            np.full(6, 0.5), BathGeometry(1.0, 4.0, 2.0),
+                            seed=0)
+    spins = tuple(ReferenceSpin(p, int(a), float(m)) for p, a, m in
+                  zip(cfg.positions, cfg.jt_axes, cfg.nuclear_m))
+    for t in (1.0, 2.0):
+        sliced = slice_bath(cfg, t)
+        assert np.all(np.abs(sliced.positions[:, 2]) <= t / 2.0)
+        assert len(sliced) == np.count_nonzero(np.abs(z) <= t / 2.0)
+        assert_same_spins(sliced, reference_slice_bath(spins, np.zeros(3), t))
+
+
+def test_arrays_are_read_only_copies():
+    positions = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    cfg = BathConfiguration(np.zeros(3), positions, np.array([0, 3]),
+                            np.array([0.5, -0.5]), BathGeometry(1.0, 1.0, 1.0),
+                            seed=0)
+    positions[0, 0] = 9.0
+    assert cfg.positions[0, 0] == 1.0
+    for arr in (cfg.positions, cfg.jt_axes, cfg.nuclear_m,
+                cfg.central_position):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    for derived in (slice_bath(cfg, 0.5), keep_nearest(cfg, 1),
+                    generate_bath(BathGeometry(50.0, 6.0, 8.0), 1)):
+        with pytest.raises(ValueError, match="read-only"):
+            derived.positions[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("positions,axes,ms,match", [
+    (np.zeros((2, 2)), [0, 0], [0.5, 0.5], "shapes"),
+    (np.ones((2, 3)), [0], [0.5, 0.5], "shapes"),
+    (np.ones((2, 3)), [0, 0], [0.5], "shapes"),
+    (np.ones((2, 3)), [0, 4], [0.5, 0.5], "0..3"),
+    (np.ones((2, 3)), [-1, 0], [0.5, 0.5], "0..3"),
+    (np.ones((2, 3)), [0.0, 1.5], [0.5, 0.5], "integers"),
+    (np.array([[1.0, np.nan, 0.0], [1.0, 1.0, 1.0]]), [0, 0], [0.5, 0.5],
+     "finite"),
+])
+def test_configuration_rejects_bad_arrays(positions, axes, ms, match):
+    with pytest.raises(ValueError, match=match):
+        BathConfiguration(np.zeros(3), positions, axes, ms,
+                          BathGeometry(1.0, 1.0, 1.0), seed=0)
+
+
+def test_empty_configuration():
+    cfg = BathConfiguration(np.zeros(3), np.zeros((0, 3)), [], [],
+                            BathGeometry(1.0, 1.0, 1.0), seed=0)
+    assert len(cfg) == 0 and cfg.jt_axes.dtype == np.int64
+
+
+def _round_trip(cfg):
+    buf = io.StringIO()
+    write_bath(cfg, buf)
+    text = buf.getvalue()
+    return text, read_bath(io.StringIO(text))
+
+
+def test_spawned_bath_regenerates_from_its_file():
+    geom = BathGeometry(20.0, 8.0, default_lateral_radius(20.0, 8.0, 30))
+    parent = np.random.SeedSequence(1234, spawn_key=(2, 5))
+    for ss in (parent, parent.spawn(2)[1]):
+        cfg = generate_bath(geom, ss)
+        text, back = _round_trip(cfg)
+        assert text.splitlines()[1] == " ".join(
+            map(str, ("seed", ss.entropy, *ss.spawn_key)))
+        again = generate_bath(back.geometry, np.random.SeedSequence(
+            back.seed, spawn_key=back.spawn_key))
+        assert_same_spins(again, reference_generate_bath(geom, ss))
+        assert _round_trip(again)[0] == text
+
+
+def test_int_seed_line_is_unchanged():
+    cfg = generate_bath(BathGeometry(3.0, 5.0, 20.0), 7)
+    text, back = _round_trip(cfg)
+    assert text.splitlines()[1] == "seed 7"
+    assert (back.seed, back.spawn_key) == (7, ())

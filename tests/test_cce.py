@@ -10,10 +10,10 @@ import spinbath.cce as cce_module
 from spinbath.bath import (
     BathConfiguration,
     BathGeometry,
-    BathSpin,
     default_lateral_radius,
     generate_bath,
     keep_nearest,
+    slice_bath,
 )
 from spinbath.cce import (
     DIVISION_FLOOR,
@@ -22,6 +22,7 @@ from spinbath.cce import (
     MAX_FULL_CLUSTER_SPINS,
     RAMSEY,
     CCEConfig,
+    StrongWeakPartition,
     CoherenceCurve,
     PulseSequence,
     cce_coherence,
@@ -151,9 +152,11 @@ def test_clusters_match_brute_force(seed, quantile):
 
 
 def line_bath(n, spacing=1.0):
-    spins = tuple(BathSpin(position=np.array([spacing * (i + 1), 0.0, 0.0]),
-                           jt_axis=0, nuclear_m=0.5) for i in range(n))
-    return BathConfiguration(central_position=np.zeros(3), spins=spins,
+    positions = np.zeros((n, 3))
+    positions[:, 0] = spacing * (np.arange(n) + 1)
+    return BathConfiguration(central_position=np.zeros(3), positions=positions,
+                             jt_axes=np.zeros(n, int),
+                             nuclear_m=np.full(n, 0.5),
                              geometry=BathGeometry(1.0, 1.0, 1.0), seed=0)
 
 
@@ -387,8 +390,7 @@ def test_max_order_cce_matches_dense_reference():
     t = np.linspace(0.0, 0.1, 20)
     for seed in (3, 4):
         cfg = small_bath(seed=seed, n=4)
-        ms = np.array([s.nuclear_m for s in cfg.spins])
-        axes = np.array([s.jt_axis for s in cfg.spins])
+        ms, axes = cfg.nuclear_m, cfg.jt_axes
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, len(cfg))
         ref = dense_echo_reference(cfg, t, ms, axes, bits)
@@ -411,8 +413,7 @@ def test_max_order_cce_matches_dense_reference():
 
 def test_thermal_contribution_equals_state_average():
     cfg = small_bath(seed=5, n=3)
-    ms = np.array([s.nuclear_m for s in cfg.spins])
-    axes = np.array([s.jt_axis for s in cfg.spins])
+    ms, axes = cfg.nuclear_m, cfg.jt_axes
     assign = [(ms[i], int(axes[i])) for i in range(len(cfg))]
     t = np.linspace(0.0, 0.05, 15)
     thermal = cluster_contribution(cfg.positions, assign, HAHN_ECHO, None, t)
@@ -531,7 +532,7 @@ PROPAGATOR_TOL = 1e-12
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_propagator_matches_reference(sequence, k):
     cfg = small_bath(seed=k, n=k)
-    assign = [(s.nuclear_m, int(s.jt_axis)) for s in cfg.spins]
+    assign = list(zip(cfg.nuclear_m.tolist(), cfg.jt_axes.tolist()))
     rng = np.random.default_rng(k)
     vec = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
     vec /= np.linalg.norm(vec)
@@ -554,7 +555,7 @@ def test_propagator_across_time_chunks(sequence):
     per_chunk = cce_module._PROPAGATOR_CHUNK // (3 * 4**k)
     t = np.linspace(0.0, 0.05, per_chunk + 7)
     cfg = small_bath(seed=8, n=k)
-    assign = [(s.nuclear_m, int(s.jt_axis)) for s in cfg.spins]
+    assign = list(zip(cfg.nuclear_m.tolist(), cfg.jt_axes.tolist()))
     new = cluster_contribution(cfg.positions, assign, sequence, None, t)
     ref = reference_cluster_contribution(cfg.positions, assign, sequence,
                                          None, t)
@@ -641,6 +642,55 @@ def test_partition_t2star_formula():
     assert len(strong_idx) == len(part.strong)
 
 
+def reference_partition_strong_weak(config, central=None):
+    """The greedy loop that the elementwise strong test replaced."""
+    az = cce_module._couplings(config, central)
+    order = np.argsort(-np.abs(az), kind="stable")
+    az_sorted = az[order]
+    tail_sq = np.concatenate([np.cumsum((az_sorted**2)[::-1])[::-1], [0.0]])
+    k = 0
+    while k < len(az_sorted):
+        a_bath = np.sqrt(tail_sq[k + 1] / 4.0)
+        if np.abs(az_sorted[k]) / 2.0 >= \
+                cce_module.STRONG_THRESHOLD * a_bath / np.sqrt(2.0):
+            k += 1
+        else:
+            break
+    strong = tuple((int(order[i]), float(az_sorted[i])) for i in range(k))
+    a_bath = float(np.sqrt(tail_sq[k] / 4.0))
+    t2s = float(np.sqrt(2.0) / a_bath) if a_bath > 0 else np.inf
+    return StrongWeakPartition(strong=strong, weak_dephasing=a_bath,
+                               t2_star=t2s)
+
+
+def partition_baths():
+    yield line_bath(0)
+    yield keep_nearest(small_bath(seed=7, n=4), 1)
+    # each spin 8x more strongly coupled than the next: all strong
+    yield BathConfiguration(np.zeros(3), [[0.0, 0.0, 2.0**k] for k in range(5)],
+                            np.zeros(5, int), np.full(5, 0.5),
+                            BathGeometry(1.0, 1.0, 1.0), seed=0)
+    # yield_sweep's 3 ppm master slabs, sliced as in check 7
+    geom = BathGeometry(3.0, 50.0, default_lateral_radius(3.0, 50.0, 300))
+    for c in range(30):
+        master = generate_bath(geom, np.random.SeedSequence(5, spawn_key=(0, c)))
+        for t in (0.5, 1.0, 2.0, 3.0, 4.5, 7.0, 10.0, 15.0, 25.0, 50.0):
+            yield slice_bath(master, t)
+    for seed in range(100):
+        yield small_bath(seed=seed, n=1 + seed % 12, ppm=5.0 + seed % 40)
+
+
+def test_partition_matches_greedy_loop():
+    strong_counts = set()
+    for cfg in partition_baths():
+        part = partition_strong_weak(cfg)
+        assert part == reference_partition_strong_weak(cfg)
+        strong_counts.add((len(part.strong) > 0, len(part.strong) == len(cfg)))
+    # no strong spin, some, all of them, and the empty bath all occur
+    assert strong_counts == {(False, False), (True, False), (True, True),
+                             (False, True)}
+
+
 def test_empty_bath_coherence_is_unity():
     geom = BathGeometry(0.001, 2.0, 2.0, "continuum-poisson")
     cfg = generate_bath(geom, 1)
@@ -707,11 +757,14 @@ def test_diverging_expansion_raises():
                     bath_state_mode="exact")
     with pytest.raises(ValueError, match="3 of 31 coherence values are not"):
         cce_coherence(cfg, cce, RAMSEY, seed=10, p1=p1)
-    # the same bath at order 2 stays finite
+    # the same bath at order 2 stays finite, but |L| far above 1 warns
     finite = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=1,
                        time_grid=cce.time_grid, bath_state_mode="exact")
-    assert np.all(np.isfinite(cce_coherence(cfg, finite, RAMSEY, seed=10,
-                                            p1=p1).values))
+    with pytest.warns(RuntimeWarning, match="CCE diverging: max"):
+        curve = cce_coherence(cfg, finite, RAMSEY, seed=10, p1=p1)
+    assert np.all(np.isfinite(curve.values))
+    assert np.max(np.abs(curve.values)) > cce_module.DIVERGENCE_MODULUS
+    assert curve.metadata["warning"].startswith("CCE diverging: max |L|")
 
 
 # --- serialization ------------------------------------------------------

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinbath
 from spinbath.cli import main, parse_axis, read_measurements
 
 
@@ -120,6 +126,24 @@ def test_coherence_diverging_expansion(capsys):
     assert out == ""
     assert err.startswith("error: CCE diverged: 3 of 31")
     assert len(err.splitlines()) == 1
+
+
+def test_coherence_divergence_warns_on_stderr():
+    # a thermal full-mode pair expansion that stays finite but reaches
+    # |L| ~ 5e19; run as a process, so the warning takes its normal route
+    src = str(Path(spinbath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinbath.cli", "coherence", "--density", "20",
+         "--thickness", "10", "--target-spins", "6", "--seed", "4",
+         "--mode", "full", "--order", "2", "--kind", "ramsey",
+         "--bath-state-mode", "exact", "--npoints", "30"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0
+    assert "RuntimeWarning: CCE diverging: max |L| = 5.26e+19 exceeds 1.01" \
+        in proc.stderr
+    assert "# meta warning CCE diverging: max |L| = 5.26e+19" in proc.stdout
 
 
 def test_coherence_oversized_full_clusters(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from spinbath.bath import (BathConfiguration, BathGeometry, BathSpin,
+from spinbath.bath import (BathConfiguration, BathGeometry,
                            mean_nn_distance_formula)
 from spinbath.constants import ppm_to_number_density
 from spinbath.yields import (
@@ -26,10 +26,11 @@ from spinbath.yields import (
 
 def bath_from_positions(positions, thickness=60.0, radius=60.0, ppm=3.0):
     geom = BathGeometry(ppm, thickness, radius, "continuum-poisson")
-    spins = tuple(BathSpin(position=np.asarray(p, float), jt_axis=0,
-                           nuclear_m=0.5) for p in positions)
-    return BathConfiguration(central_position=np.zeros(3), spins=spins,
-                             geometry=geom, seed=0)
+    positions = np.asarray(positions, float)
+    n = len(positions)
+    return BathConfiguration(central_position=np.zeros(3), positions=positions,
+                             jt_axes=np.zeros(n, int),
+                             nuclear_m=np.full(n, 0.5), geometry=geom, seed=0)
 
 
 # --- closed-form distributions -----------------------------------------
