@@ -9,21 +9,14 @@ doubling, since the echo T2 scales inversely with density).
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from spinbath.validation import ensemble_echo_fit
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--densities", type=float, nargs=2, default=[25.0, 50.0],
-                    help="two bulk densities in ppm (default 25 50)")
-    ap.add_argument("--nconfigs", type=int, default=200)
-    ap.add_argument("--nspins", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=1000)
-    args = ap.parse_args(argv)
-
+def run(args):
     results = {}
     for ppm in args.densities:
         t2_med, n_mean, fits = ensemble_echo_fit(
@@ -39,6 +32,21 @@ def main(argv=None):
     print(f"median-T2 ratio ({lo:g} ppm / {hi:g} ppm) = {ratio:.3f} "
           f"(density ratio {hi / lo:g})")
     return 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--densities", type=float, nargs=2, default=[25.0, 50.0],
+                    help="two bulk densities in ppm (default 25 50)")
+    ap.add_argument("--nconfigs", type=int, default=200)
+    ap.add_argument("--nspins", type=int, default=100)
+    ap.add_argument("--seed", type=int, default=1000)
+    args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,22 @@ THICKNESSES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 DENSITIES = (1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
 
 
+def run(args):
+    library = build_library(THICKNESSES, DENSITIES, args.nsamples, args.seed)
+    if args.library_out:
+        with open(args.library_out, "w") as fh:
+            write_library(library, fh)
+
+    bench = benchmark_error(library, args.counts, args.trials,
+                            fixed_thickness=args.thickness,
+                            seed=args.benchmark_seed)
+    print(f"power-law exponent p = {bench.exponent:.3f} "
+          f"(fit residual {bench.fit_residual:.3f})")
+    for n, err in zip(bench.sample_counts, bench.mean_relative_error):
+        print(f"  N = {n:3d}   rms relative error = {err:.3f}")
+    return 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nsamples", type=int, default=500,
@@ -32,20 +48,11 @@ def main(argv=None):
     ap.add_argument("--library-out", default=None,
                     help="optionally save the library to this file")
     args = ap.parse_args(argv)
-
-    library = build_library(THICKNESSES, DENSITIES, args.nsamples, args.seed)
-    if args.library_out:
-        with open(args.library_out, "w") as fh:
-            write_library(library, fh)
-
-    bench = benchmark_error(library, args.counts, args.trials,
-                            fixed_thickness=args.thickness,
-                            seed=args.benchmark_seed)
-    print(f"power-law exponent p = {bench.exponent:.3f} "
-          f"(fit residual {bench.fit_residual:.3f})")
-    for n, err in zip(bench.sample_counts, bench.mean_relative_error):
-        print(f"  N = {n:3d}   rms relative error = {err:.3f}")
-    return 0
+    try:
+        return run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

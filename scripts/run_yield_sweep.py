@@ -18,19 +18,7 @@ from spinbath.yields import write_yield_report, yield_sweep
 DEFAULT_THICKNESSES = (0.5, 1.0, 2.0, 3.0, 4.5, 7.0, 10.0, 15.0, 25.0, 50.0)
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--density", type=float, default=3.0,
-                    help="nitrogen density in ppm (default 3)")
-    ap.add_argument("--thicknesses", type=float, nargs="+",
-                    default=list(DEFAULT_THICKNESSES),
-                    help="layer thicknesses in nm")
-    ap.add_argument("--nconfigs", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=700)
-    ap.add_argument("--out", default=None,
-                    help="report file (default: stdout)")
-    args = ap.parse_args(argv)
-
+def run(args):
     report = yield_sweep([args.density], args.thicknesses,
                          args.nconfigs, seed=args.seed)
     rnn = mean_nn_distance_formula(args.density)
@@ -51,6 +39,25 @@ def main(argv=None):
     else:
         write_yield_report(report, sys.stdout)
     return 0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--density", type=float, default=3.0,
+                    help="nitrogen density in ppm (default 3)")
+    ap.add_argument("--thicknesses", type=float, nargs="+",
+                    default=list(DEFAULT_THICKNESSES),
+                    help="layer thicknesses in nm")
+    ap.add_argument("--nconfigs", type=int, default=10_000)
+    ap.add_argument("--seed", type=int, default=700)
+    ap.add_argument("--out", default=None,
+                    help="report file (default: stdout)")
+    args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ same bath again; an int seed writes `seed <int>` alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from math import gamma as gamma_fn
 
 import numpy as np
@@ -65,12 +65,14 @@ class BathGeometry:
         return self.number_density * np.pi * self.lateral_radius**2 * self.thickness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BathConfiguration:
     """One bath as three read-only arrays: spin k sits at positions[k]
     (nm), with Jahn-Teller axis jt_axes[k] in 0..3 and nuclear projection
     nuclear_m[k].  `seed` and `spawn_key` name the SeedSequence it was
-    drawn from: SeedSequence(seed, spawn_key=spawn_key) regenerates it."""
+    drawn from: SeedSequence(seed, spawn_key=spawn_key) regenerates it.
+    Two configurations are equal when every field is (arrays element by
+    element); the hash covers geometry, seed, spawn key and size."""
 
     central_position: np.ndarray  # (3,) nm
     positions: np.ndarray  # (n, 3) nm
@@ -107,6 +109,17 @@ class BathConfiguration:
 
     def __len__(self):
         return len(self.positions)
+
+    def __eq__(self, other):
+        if not isinstance(other, BathConfiguration):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
+                   else a == b for a, b in pairs)
+
+    def __hash__(self):
+        return hash((self.geometry, self.seed, self.spawn_key, len(self)))
 
 
 def default_lateral_radius(density_ppm, thickness, target_spins=36):

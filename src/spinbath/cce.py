@@ -8,9 +8,11 @@ Two Hamiltonian modes:
   S_z A_zz P_z and bath pairs keep the zz + flip-flop terms, so the
   Hamiltonian is block-diagonal in the central m_s and every cluster
   reduces to two bath-only blocks of dimension 2^k.  This is the
-  production path.  Its kernel is batched over clusters and time points,
-  and its results are bit-identical to evaluating the same expressions
-  one time point at a time.
+  production path.  Its kernel is batched over clusters, time points and
+  bath states (a sampled product state, or all 2^k basis states, averaged,
+  for the thermal trace).  Sampled values are bit-identical to evaluating
+  the same expressions one time point at a time; thermal values agree
+  with the closed-form trace to rounding.
 - "full": complete dipolar tensors in the (2S+1) * 2^k Hilbert space,
   used for small-bath oracles and cross-checks.  Each cluster is
   diagonalized once and propagated by one path for every bath state (a
@@ -38,8 +40,7 @@ from scipy.spatial import cKDTree
 
 from .bath import BathConfiguration
 from .constants import CONSTANTS, DEFAULTS, FieldConfig, P1Params
-from .hamiltonian import (SPIN1_M_ORDER, build_cluster_hamiltonian,
-                          dipolar_tensor, secular_Azz)
+from .hamiltonian import SPIN1_M_ORDER, build_cluster_hamiltonian
 
 DIVISION_FLOOR = 1e-10
 MAX_CLUSTERS = 2_000_000
@@ -189,17 +190,22 @@ class StrongWeakPartition:
     t2_star: float  # ms, +inf when the weak set is empty
 
 
+def _secular_dipolar(rel, r, axis):
+    """zz part along `axis` of the dipolar coupling (rad/ms) between spins
+    at displacements rel (..., 3) nm of length r."""
+    cosang = (rel @ axis) / r
+    return CONSTANTS.dipolar_prefactor / r**3 * (1.0 - 3.0 * cosang**2)
+
+
 def _couplings(config: BathConfiguration, central=None):
+    """A_z = (m1 - m0) A_zz (rad/ms) of every bath spin."""
     central = central or DEFAULTS.central
     if len(config) == 0:
         return np.zeros(0)
     rel = config.positions - config.central_position
-    axis = central.quantization_axis
-    r = np.linalg.norm(rel, axis=1)
-    cosang = (rel @ axis) / r
     m0, m1 = central.qubit_levels
-    azz = CONSTANTS.dipolar_prefactor / r**3 * (1.0 - 3.0 * cosang**2)
-    return (m1 - m0) * azz
+    return (m1 - m0) * _secular_dipolar(rel, np.linalg.norm(rel, axis=1),
+                                        central.quantization_axis)
 
 
 def partition_strong_weak(config: BathConfiguration,
@@ -553,43 +559,14 @@ _KERNEL_CHUNK = 2**14
 
 
 def _contract(M, x, transpose=False):
-    """y[c, t, i] = sum_j M[c, i, j] x[c, t, j] (M[c, j, i] if transpose),
-    accumulated over j = 0..d-1 in order, which is how einsum sums at one
-    time point.  BLAS matmul sums in another order."""
+    """y[c, t, s, i] = sum_j M[c, i, j] x[c, t, s, j] (M[c, j, i] if
+    transpose), accumulated over j = 0..d-1 in order, which is how einsum
+    sums at one time point.  BLAS matmul sums in another order."""
     y = np.zeros(x.shape, dtype=complex)
     for j in range(M.shape[-1]):
-        y += (M[:, None, j, :] if transpose else M[:, None, :, j]) \
-            * x[:, :, j, None]
+        y += (M[:, None, None, j, :] if transpose else M[:, None, None, :, j]) \
+            * x[..., j, None]
     return y
-
-
-def _sandwich(M, p):
-    """X[c, t, i, k] = sum_q M[c, q, i] p[c, t, q] M[c, q, k], accumulated
-    over q in order."""
-    X = np.zeros(p.shape + p.shape[-1:], dtype=complex)
-    for q in range(p.shape[-1]):
-        X += M[:, None, q, :, None] * p[:, :, q, None, None] \
-            * M[:, None, q, None, :]
-    return X
-
-
-def _trace_product(Y, X):
-    """Tr(Y X) over the last two axes with einsum's arithmetic: for each
-    row p of Y a sum over r started from zero, with complex products in
-    plain real arithmetic (the multiply ufunc fuses multiply-adds), then
-    the row sums added in order of p."""
-    re = np.zeros(Y.shape[:-1])
-    im = np.zeros(Y.shape[:-1])
-    for r in range(Y.shape[-1]):
-        yr, yi = Y[..., r].real, Y[..., r].imag
-        xr, xi = X[..., r, :].real, X[..., r, :].imag
-        re += yr * xr - yi * xi
-        im += yr * xi + yi * xr
-    out = np.zeros(Y.shape[:-2], dtype=complex)
-    for p in range(Y.shape[-1]):
-        out.real += re[..., p]
-        out.imag += im[..., p]
-    return out
 
 
 def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
@@ -597,11 +574,12 @@ def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
     """L_C(t) for a batch of equal-size clusters in secular mode.
 
     state_bits: per-bath-spin bit (0 = m=+1/2) of the sampled product
-    state, ignored when exact=True (thermal trace instead).
-    Returns (ncl, nt) complex.  Work is batched over (cluster, time)
-    in chunks of about _KERNEL_CHUNK elements per 2^k vector; each value
-    is bit-identical to the same contractions done one time point at a
-    time with einsum.
+    state, ignored when exact=True: the thermal trace is then the average
+    over all 2^k basis states, each evolved as one more row of the batch.
+    Returns (ncl, nt) complex.  Work is batched over (cluster, time, bath
+    state) in chunks of about _KERNEL_CHUNK elements per 2^k vector; a
+    sampled value is bit-identical to the same contractions done one time
+    point at a time with einsum.
     """
     if sequence.kind not in ("Ramsey", "HahnEcho"):
         raise ValueError(f"unsupported sequence {sequence.kind!r}")
@@ -612,41 +590,33 @@ def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
     E0, V0 = np.linalg.eigh(H0)
     E1, V1 = np.linalg.eigh(H1)
     M = np.einsum("cpi,cpj->cij", V1, V0)  # V1^dag V0, real orthogonal
-    if not exact:
+    if exact:
+        a, b = V0, V1  # row p: <p| V0 -> coeffs, for every basis state p
+    else:
         idx = _state_index(state_bits, cluster_sets, k)
-        a = V0[np.arange(ncl), idx, :]  # <idx| V0 rows -> coeffs (real)
-        b = V1[np.arange(ncl), idx, :]
+        a = V0[np.arange(ncl), idx, None, :]  # (ncl, 1 state, d)
+        b = V1[np.arange(ncl), idx, None, :]
 
     out = np.empty((ncl, len(t)), dtype=complex)
-    step = max(1, _KERNEL_CHUNK // (len(t) * d))
+    step = max(1, _KERNEL_CHUNK // (len(t) * a.shape[1] * d))
     for c0 in range(0, ncl, step):
         s = slice(c0, c0 + step)
-        m, e0, e1 = M[s], E0[s, None, :], E1[s, None, :]
-        if sequence.kind == "Ramsey" and exact:
-            # (1/d) Tr[e^{iH1 t} e^{-iH0 t}] = (1/d) sum |M_pq|^2 e^{i(E1_p-E0_q)t}
-            dE = E1[s, None, :, None] - E0[s, None, None, :]
-            out[s] = np.sum((m**2 / d)[:, None]
-                            * np.exp(1j * dE * t[:, None, None]), axis=(2, 3))
-        elif sequence.kind == "Ramsey":
-            x = a[s, None, :] * np.exp(-1j * e0 * t[:, None])
-            y = _contract(m, x)
-            out[s] = np.sum(b[s, None, :] * np.exp(-1j * e1 * t[:, None]).conj()
-                            * y, axis=-1)
+        m, e0, e1 = M[s], E0[s, None, None, :], E1[s, None, None, :]
+        a_s, b_s = a[s, None], b[s, None]  # (c, 1 time, state, d)
+        if sequence.kind == "Ramsey":
+            tt = t[:, None, None]
+            y = _contract(m, a_s * np.exp(-1j * e0 * tt))
+            w = b_s * np.exp(-1j * e1 * tt).conj() * y
         else:
-            tau = t[:, None] / 2.0
+            # L = a^dag D0* M^dag D1* M D0 M^dag D1 b with D = e^{-iE tau}
+            tau = t[:, None, None] / 2.0
             p0 = np.exp(-1j * e0 * tau)
             p1 = np.exp(-1j * e1 * tau)
-            if exact:
-                # Tr[D0* M^dag D1* M D0 M^dag D1 M] / d with D = e^{-iE tau}
-                X = p0[..., None] * _sandwich(m, p1)  # e^{-iE0} M^T e^{-iE1} M
-                Y = p0[..., None].conj() * _sandwich(m, p1.conj())
-                out[s] = _trace_product(Y, X) / d
-            else:
-                # L = a^dag D0* M^dag D1* M D0 M^dag D1 b with D = e^{-iE tau}
-                w = _contract(m, p1 * b[s, None, :], transpose=True)
-                w = _contract(m, p0 * w)
-                w = _contract(m, p1.conj() * w, transpose=True)
-                out[s] = np.sum(a[s, None, :] * p0.conj() * w, axis=-1)
+            w = _contract(m, p1 * b_s, transpose=True)
+            w = _contract(m, p0 * w)
+            w = _contract(m, p1.conj() * w, transpose=True)
+            w = a_s * p0.conj() * w
+        out[s] = np.mean(np.sum(w, axis=-1), axis=-1)
     return out
 
 
@@ -695,8 +665,9 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     per-state random nuclear m and Jahn-Teller axis unless frozen_nuclear);
     the CCE product of irreducible contributions is formed per state and
     averaged.  In "exact" mode each cluster contribution is averaged over
-    the fully mixed bath state (thermal trace) with the configuration's
-    frozen nuclear assignment.  Baths of more than MAX_CCE_SPINS spins
+    the fully mixed bath state (thermal trace: the mean over all 2^k basis
+    states of the cluster) with the configuration's frozen nuclear
+    assignment.  Baths of more than MAX_CCE_SPINS spins
     raise ValueError, and so do full-mode clusters that could exceed
     MAX_FULL_CLUSTER_SPINS spins and a diverging expansion: irreducible
     factors that overflow leave non-finite values in the product.  A
@@ -729,17 +700,15 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     projections = p1.nuclear_projections
 
     # per-spin secular couplings (state-independent)
-    azz = _couplings(config, central)  # A_z = (m1-m0) Azz
-    m0, m1 = central.qubit_levels
-    azz_raw = azz / (m1 - m0)
     pos = config.positions
+    rel = pos - config.central_position
+    azz_raw = _secular_dipolar(rel, np.linalg.norm(rel, axis=1), axis)
     jzz = np.zeros((n, n))
     if n >= 2:
         rel = pos[:, None, :] - pos[None, :, :]
         r = np.linalg.norm(rel, axis=-1)
         np.fill_diagonal(r, np.inf)
-        cosang = (rel @ axis) / r
-        jzz = CONSTANTS.dipolar_prefactor / r**3 * (1.0 - 3.0 * cosang**2)
+        jzz = _secular_dipolar(rel, r, axis)
 
     def nuclear_draw():
         if cce.frozen_nuclear:
@@ -871,7 +840,7 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
 def simulate_observable(geometry, n_configs, cce, sequence, seed,
                         observable="t2star", central=None, p1=None,
                         field=None, nuclear_projections=None,
-                        cell_index=0, return_curves=False):
+                        cell_index=0):
     """Per-configuration coherence times for one (geometry, sequence).
 
     observable "t2star": analytic order-1 partition route (Ramsey).
@@ -887,20 +856,15 @@ def simulate_observable(geometry, n_configs, cce, sequence, seed,
     if nuclear_projections is None:
         nuclear_projections = p1.nuclear_projections
     times = []
-    curves = []
     for i in range(n_configs):
         ss = spawn_seed(seed, cell_index, i)
         config = generate_bath(geometry, ss, nuclear_projections=nuclear_projections)
         if observable == "t2star":
             part = partition_strong_weak(config, central)
             times.append(part.t2_star)
-            if return_curves:
-                curves.append(ramsey_cce1_analytic(config, cce.time_grid, central))
         elif observable == "t2":
             curve = cce_coherence(config, cce, sequence, field=field,
                                   seed=ss.spawn(1)[0], central=central, p1=p1)
-            if return_curves:
-                curves.append(curve)
             try:
                 fit = fit_stretched_exponential(curve)
                 times.append(fit.t2 if fit.converged else np.nan)
@@ -908,6 +872,4 @@ def simulate_observable(geometry, n_configs, cce, sequence, seed,
                 times.append(np.nan)
         else:
             raise ValueError(f"unknown observable {observable!r}")
-    if return_curves:
-        return times, curves
     return times

@@ -101,7 +101,7 @@ class P1Params:
     """P1 bath spin: S=1/2 electron plus a nitrogen nucleus whose state
     enters the dynamics only via the static hyperfine shift a(m, axis).
 
-    hyperfine_table maps (nuclear m, JT axis index) -> shift in rad/ms,
+    hyperfine_shift(m, axis index) is the shift in rad/ms,
     a(m, axis) = m * (A_par cos^2 beta + A_perp sin^2 beta) with beta the
     angle between the JT axis and the central quantization axis.
     """
@@ -126,14 +126,6 @@ class P1Params:
         cb = float(np.dot(JT_AXES[axis_index], self.quantization_axis))
         a_eff = self.A_par * cb**2 + self.A_perp * (1.0 - cb**2)
         return m * a_eff
-
-    @property
-    def hyperfine_table(self):
-        return {
-            (m, k): self.hyperfine_shift(m, k)
-            for m in self.nuclear_projections
-            for k in range(4)
-        }
 
 
 @dataclass(frozen=True)

@@ -53,14 +53,6 @@ ID3 = np.eye(3, dtype=complex)
 SPIN1_M_ORDER = (1, 0, -1)
 
 
-def spin_half_ops():
-    return SX2, SY2, SZ2
-
-
-def spin_one_ops():
-    return SX3, SY3, SZ3
-
-
 def _frame(axis):
     """Orthonormal basis (e1, e2, e3) with e3 = axis."""
     e3 = np.asarray(axis, dtype=float)

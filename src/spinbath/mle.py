@@ -86,10 +86,6 @@ class RatePDF:
         return float(np.trapezoid(vals, fine))
 
 
-def build_pdf(samples, n_bins=DEFAULT_N_BINS) -> RatePDF:
-    return RatePDF(samples, n_bins=n_bins)
-
-
 @dataclass(frozen=True)
 class CoherenceLibrary:
     thicknesses: np.ndarray  # nm
@@ -157,40 +153,35 @@ class ErrorBenchmark:
 def build_library(thicknesses, densities, n_samples, seed,
                   placement_mode="continuum-poisson",
                   n_bins=DEFAULT_N_BINS) -> CoherenceLibrary:
-    """Populate the grid with 1/T2* samples via the analytic dephasing route.
+    """Populate the grid with 1/T2* samples via the analytic dephasing route
+    (a T2* sweep turned into a library by library_from_sweep)."""
+    grid = run_sweep(thicknesses, densities, n_samples, seed,
+                     observable="t2star", placement_mode=placement_mode)
+    return library_from_sweep(grid, n_bins=n_bins)
+
+
+def library_from_sweep(grid: SweepGrid, n_bins=DEFAULT_N_BINS) -> CoherenceLibrary:
+    """Library of the sorted rates 1/T2* of each cell of a T2* sweep.
 
     T2* per configuration comes from the strong/weak partition formula;
     configurations whose weak bath is empty (infinite T2*) are excluded,
-    matching the sweep-statistics convention.
+    matching the sweep-statistics convention, and a cell left without
+    samples raises ValueError.
     """
-    grid = run_sweep(thicknesses, densities, n_samples, seed,
-                     observable="t2star", placement_mode=placement_mode)
     cells = {}
     for key, t2s in grid.cells.items():
         finite = t2s[np.isfinite(t2s) & (t2s > 0)]
         if finite.size == 0:
             raise ValueError(f"library cell {key} has no finite samples")
         cells[key] = np.sort(1.0 / finite)
-    return CoherenceLibrary(
-        thicknesses=np.asarray(thicknesses, dtype=float),
-        densities=np.asarray(densities, dtype=float),
-        cells=cells, n_bins=n_bins,
-        provenance={"seed": seed, "n_samples": n_samples,
-                    "placement_mode": placement_mode,
-                    "engine_version": __version__,
-                    "schema": "spinbath-library-1"})
-
-
-def library_from_sweep(grid: SweepGrid, n_bins=DEFAULT_N_BINS) -> CoherenceLibrary:
-    cells = {}
-    for key, t2s in grid.cells.items():
-        finite = t2s[np.isfinite(t2s) & (t2s > 0)]
-        cells[key] = np.sort(1.0 / finite)
+    meta = grid.metadata
     return CoherenceLibrary(
         thicknesses=grid.thicknesses, densities=grid.densities,
         cells=cells, n_bins=n_bins,
-        provenance=dict(grid.metadata, engine_version=__version__,
-                        schema="spinbath-library-1"))
+        provenance={"seed": meta["seed"], "n_samples": meta["n_configs"],
+                    "placement_mode": meta.get("placement_mode"),
+                    "engine_version": __version__,
+                    "schema": "spinbath-library-1"})
 
 
 def _refined_density_axis(densities, step=REFINE_STEP_PPM):

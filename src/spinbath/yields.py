@@ -94,7 +94,7 @@ def bath_rate_scale(dimensionality, density, cutoff):
     spin.  2D: Gamma^2 = pi sigma2d / (2 cutoff^4); 3D: Gamma^2 =
     4 pi rho / (3 cutoff^3).
     """
-    if cutoff <= 0:
+    if np.any(np.asarray(cutoff) <= 0):
         raise ValueError("cutoff must be positive")
     if dimensionality == "2D":
         return np.sqrt(np.pi * density / (2.0 * cutoff**4))
@@ -110,11 +110,8 @@ def peaked_gamma_visibility(r_nn, dimensionality, density):
     continuum scale evaluated outside the nearest-neighbor distance.
     """
     r_nn = np.asarray(r_nn, dtype=float)
-    if dimensionality == "2D":
-        gamma_r = np.sqrt(np.pi * density / (2.0 * r_nn**4))
-    else:
-        gamma_r = np.sqrt(4.0 * np.pi * density / (3.0 * r_nn**3))
-    return r_nn**-3 / (np.sqrt(2.0) * gamma_r)
+    return r_nn**-3 / (np.sqrt(2.0)
+                       * bath_rate_scale(dimensionality, density, r_nn))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,22 @@ def test_determinism():
     assert len(c) != len(a) or not np.array_equal(c.positions, a.positions)
 
 
+def test_configuration_equality_and_hash():
+    geom = BathGeometry(20.0, 20.0, 20.0)
+    a, b = generate_bath(geom, 5), generate_bath(geom, 5)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != generate_bath(geom, 6)
+    assert a != slice_bath(a, 4.0)
+    assert a != keep_nearest(a, len(a) - 1)
+    moved = a.positions.copy()
+    moved[0, 0] += 1e-9
+    shifted = BathConfiguration(a.central_position, moved, a.jt_axes,
+                                a.nuclear_m, a.geometry, a.seed)
+    assert a != shifted and hash(a) == hash(shifted)
+    assert a != "not a bath"
+
+
 def test_expected_count_statistics():
     geom = BathGeometry(10.0, 10.0, 30.0)
     counts = [len(generate_bath(geom, s)) for s in range(200)]
@@ -117,6 +133,7 @@ def test_round_trip_lossless():
     assert np.array_equal(back.positions, cfg.positions)
     assert back.geometry == cfg.geometry
     assert np.array_equal(back.nuclear_m, cfg.nuclear_m)
+    assert back == cfg
 
 
 @given(ppm=st.floats(0.5, 50), t=st.floats(1.0, 40.0))

@@ -26,8 +26,6 @@ from spinbath.hamiltonian import (
     dipolar_tensor,
     p1_transition_frequencies,
     secular_Azz,
-    spin_half_ops,
-    spin_one_ops,
 )
 
 vec3 = st.tuples(*(st.floats(-10, 10) for _ in range(3))).map(np.array).filter(
@@ -35,13 +33,13 @@ vec3 = st.tuples(*(st.floats(-10, 10) for _ in range(3))).map(np.array).filter(
 
 
 def test_spin_half_algebra():
-    sx, sy, sz = spin_half_ops()
+    sx, sy, sz = SX2, SY2, SZ2
     assert np.allclose(sx @ sy - sy @ sx, 1j * sz)
     assert np.allclose(sx @ sx + sy @ sy + sz @ sz, 0.75 * np.eye(2))
 
 
 def test_spin_one_algebra():
-    sx, sy, sz = spin_one_ops()
+    sx, sy, sz = SX3, SY3, SZ3
     assert np.allclose(sx @ sy - sy @ sx, 1j * sz)
     assert np.allclose(sx @ sx + sy @ sy + sz @ sz, 2.0 * np.eye(3))
     assert SPIN1_M_ORDER == (1, 0, -1)

@@ -13,14 +13,13 @@ from spinbath.mle import (
     RatePDF,
     benchmark_error,
     build_library,
-    build_pdf,
     estimate_density,
     library_from_sweep,
     likelihood_surface,
     read_library,
     write_library,
 )
-from spinbath.fitting import run_sweep
+from spinbath.fitting import SweepGrid, run_sweep
 
 
 def lognormal_rates(mu, sigma, n, seed):
@@ -45,13 +44,13 @@ def synthetic_library(seed=0, n=400):
 # --- rate PDF -----------------------------------------------------------
 
 def test_pdf_normalization():
-    pdf = build_pdf(lognormal_rates(0.5, 0.3, 5000, seed=1))
+    pdf = RatePDF(lognormal_rates(0.5, 0.3, 5000, seed=1))
     assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pdf_matches_lognormal_shape():
     mu, sig = 0.0, 0.25
-    pdf = build_pdf(lognormal_rates(mu, sig, 200000, seed=2), n_bins=60)
+    pdf = RatePDF(lognormal_rates(mu, sig, 200000, seed=2), n_bins=60)
     x = 10 ** np.linspace(mu - 2 * sig, mu + 2 * sig, 25)
     expect = (np.exp(-0.5 * ((np.log10(x) - mu) / sig) ** 2)
               / (x * np.log(10.0) * sig * np.sqrt(2 * np.pi)))
@@ -60,7 +59,7 @@ def test_pdf_matches_lognormal_shape():
 
 def test_pdf_floor_engages_outside_support():
     samples = lognormal_rates(0.0, 0.2, 300, seed=3)
-    pdf = build_pdf(samples)
+    pdf = RatePDF(samples)
     far = np.array([samples.min() / 100.0, samples.max() * 100.0])
     assert np.all(pdf.raw(far) == 0.0)
     assert np.all(pdf(far) == pdf.floor)
@@ -69,18 +68,18 @@ def test_pdf_floor_engages_outside_support():
 
 
 def test_pdf_degenerate_spike():
-    pdf = build_pdf(np.full(50, 2.0))
+    pdf = RatePDF(np.full(50, 2.0))
     assert pdf(np.array([2.0]))[0] > pdf.floor
     assert pdf(np.array([5.0]))[0] == pdf.floor
 
 
 def test_pdf_rejects_bad_samples():
     with pytest.raises(ValueError):
-        build_pdf(np.array([]))
+        RatePDF(np.array([]))
     with pytest.raises(ValueError):
-        build_pdf(np.array([1.0, -2.0]))
+        RatePDF(np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
-        build_pdf(np.array([1.0, np.inf]))
+        RatePDF(np.array([1.0, np.inf]))
 
 
 # --- likelihood surface -------------------------------------------------
@@ -254,6 +253,23 @@ def test_library_from_sweep_matches_build():
                          60, seed=8)
     for key in lib2.cells:
         assert np.array_equal(lib1.cells[key], lib2.cells[key])
+    assert lib1.provenance == lib2.provenance
+    assert lib1.provenance["n_samples"] == 60
+    texts = []
+    for lib in (lib1, lib2):
+        buf = io.StringIO()
+        write_library(lib, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+    assert "seed 8 n_samples 60 " in texts[0]
+
+
+def test_library_from_sweep_rejects_empty_cell():
+    grid = SweepGrid(thicknesses=np.array([3.0]), densities=np.array([2.0]),
+                     cells={(0, 0): np.array([np.inf, np.inf])},
+                     metadata={"seed": 1, "n_configs": 2})
+    with pytest.raises(ValueError, match=r"cell \(0, 0\) has no finite"):
+        library_from_sweep(grid)
 
 
 def test_library_round_trip():

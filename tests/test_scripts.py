@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from spinbath.mle import read_library
 from spinbath.yields import read_yield_report
@@ -56,3 +57,17 @@ def test_run_echo_exponent(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("25 ppm: ") and lines[1].startswith("50 ppm: ")
     assert lines[2].startswith("median-T2 ratio (25 ppm / 50 ppm) = ")
+
+
+@pytest.mark.parametrize("name,argv,message", [
+    # at seed 2 one density has no fittable 20-spin echo
+    ("run_echo_exponent", ["--nconfigs", "2", "--nspins", "20", "--seed", "2"],
+     "no configuration produced a fittable echo"),
+    ("run_mle_benchmark", ["--nsamples", "10", "--trials", "5"],
+     "need >= 100 trials for stable means"),
+    ("run_yield_sweep", ["--nconfigs", "2", "--thicknesses", "-1"],
+     "slice thickness must be positive"),
+])
+def test_script_reports_error(capsys, name, argv, message):
+    assert load_script(name).main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
