@@ -12,13 +12,16 @@ Two Hamiltonian modes:
   bath states (a sampled product state, or all 2^k basis states, averaged,
   for the thermal trace).  Sampled values are bit-identical to evaluating
   the same expressions one time point at a time; thermal values agree
-  with the closed-form trace to rounding.
+  with the closed-form trace to rounding.  The kernel's cluster chunks
+  run on a thread pool sized to the CPUs the process may use; each
+  cluster's arithmetic is the same on any thread, so values do not
+  depend on the pool size.
 - "full": complete dipolar tensors in the (2S+1) * 2^k Hilbert space,
   used for small-bath oracles and cross-checks.  Each cluster is
   diagonalized once and propagated by one path for every bath state (a
   sampled product state, or all 2^k basis states for the thermal trace)
   and every time point together; clusters are limited to
-  MAX_FULL_CLUSTER_SPINS spins.
+  MAX_FULL_CLUSTER_SPINS spins.  This mode runs on the calling thread.
 
 The analytic order-1 Ramsey path (Gaussian envelope times cosine factors
 from strongly coupled spins) lives here too, with the strong/weak
@@ -31,7 +34,11 @@ Simul. 4, 2100254, 2021).
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
@@ -558,6 +565,34 @@ def _secular_blocks(cluster_sets, eps_c, azz, jzz, qubit_levels):
 _KERNEL_CHUNK = 2**14
 
 
+# Threads that run the kernel's chunks, one per CPU this process may use:
+# numpy's ufuncs release the GIL, and a chunk's arithmetic does not depend
+# on the thread that runs it.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _kernel_pool():
+    """The kernel's thread pool, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS,
+                                       thread_name_prefix="spinbath-cce")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child holds none of the parent's worker threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _contract(M, x, transpose=False):
     """y[c, t, s, i] = sum_j M[c, i, j] x[c, t, s, j] (M[c, j, i] if
     transpose), accumulated over j = 0..d-1 in order, which is how einsum
@@ -579,7 +614,9 @@ def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
     Returns (ncl, nt) complex.  Work is batched over (cluster, time, bath
     state) in chunks of about _KERNEL_CHUNK elements per 2^k vector; a
     sampled value is bit-identical to the same contractions done one time
-    point at a time with einsum.
+    point at a time with einsum.  The eigendecompositions run on the
+    calling thread and the chunks, split into at most _WORKERS contiguous
+    runs, on the kernel's thread pool.
     """
     if sequence.kind not in ("Ramsey", "HahnEcho"):
         raise ValueError(f"unsupported sequence {sequence.kind!r}")
@@ -599,24 +636,39 @@ def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
 
     out = np.empty((ncl, len(t)), dtype=complex)
     step = max(1, _KERNEL_CHUNK // (len(t) * a.shape[1] * d))
-    for c0 in range(0, ncl, step):
-        s = slice(c0, c0 + step)
-        m, e0, e1 = M[s], E0[s, None, None, :], E1[s, None, None, :]
-        a_s, b_s = a[s, None], b[s, None]  # (c, 1 time, state, d)
-        if sequence.kind == "Ramsey":
-            tt = t[:, None, None]
-            y = _contract(m, a_s * np.exp(-1j * e0 * tt))
-            w = b_s * np.exp(-1j * e1 * tt).conj() * y
-        else:
-            # L = a^dag D0* M^dag D1* M D0 M^dag D1 b with D = e^{-iE tau}
-            tau = t[:, None, None] / 2.0
-            p0 = np.exp(-1j * e0 * tau)
-            p1 = np.exp(-1j * e1 * tau)
-            w = _contract(m, p1 * b_s, transpose=True)
-            w = _contract(m, p0 * w)
-            w = _contract(m, p1.conj() * w, transpose=True)
-            w = a_s * p0.conj() * w
-        out[s] = np.mean(np.sum(w, axis=-1), axis=-1)
+
+    def run(starts):
+        for c0 in starts:
+            s = slice(c0, c0 + step)
+            m, e0, e1 = M[s], E0[s, None, None, :], E1[s, None, None, :]
+            a_s, b_s = a[s, None], b[s, None]  # (c, 1 time, state, d)
+            if sequence.kind == "Ramsey":
+                tt = t[:, None, None]
+                y = _contract(m, a_s * np.exp(-1j * e0 * tt))
+                w = b_s * np.exp(-1j * e1 * tt).conj() * y
+            else:
+                # L = a^dag D0* M^dag D1* M D0 M^dag D1 b with D = e^{-iE tau}
+                tau = t[:, None, None] / 2.0
+                p0 = np.exp(-1j * e0 * tau)
+                p1 = np.exp(-1j * e1 * tau)
+                w = _contract(m, p1 * b_s, transpose=True)
+                w = _contract(m, p0 * w)
+                w = _contract(m, p1.conj() * w, transpose=True)
+                w = a_s * p0.conj() * w
+            out[s] = np.mean(np.sum(w, axis=-1), axis=-1)
+
+    # contiguous runs of chunks, one per worker, each writing its own rows
+    starts = range(0, ncl, step)
+    n = len(starts)
+    workers = min(_WORKERS, n)
+    groups = [starts[g * n // workers:(g + 1) * n // workers]
+              for g in range(workers)]
+    # numpy's floating-point error state is a context variable, so each
+    # group runs in a copy of the caller's context
+    contexts = [contextvars.copy_context() for _ in groups]
+    mapper = _kernel_pool().map if workers > 1 else map
+    for _ in mapper(lambda ctx, g: ctx.run(run, g), contexts, groups):
+        pass  # consuming the results raises a worker's exception here
     return out
 
 
@@ -812,7 +864,9 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
     Each configuration is drawn from `geometry` (optionally truncated to
     its n_spins nearest spins) and simulated with `cce`; the average of
     |L| across configurations is returned, mirroring ensemble (many-NV)
-    measurements where each center sees its own static bath.
+    measurements where each center sees its own static bath.  When any
+    configuration's curve warns, meta["warning"] gives how many did and
+    the first one's text.
     """
     from .bath import generate_bath, keep_nearest
 
@@ -820,6 +874,7 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
     p1 = p1 or DEFAULTS.p1("n15")
     t = cce.time_grid
     acc = np.zeros(len(t))
+    warned = []
     for i in range(n_configs):
         ss = spawn_seed(seed, cell_index, i)
         config = generate_bath(geometry, ss,
@@ -829,11 +884,16 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
         curve = cce_coherence(config, cce, sequence, field=field,
                               seed=ss.spawn(1)[0], central=central, p1=p1)
         acc += np.abs(curve.values)
+        if "warning" in curve.metadata:
+            warned.append(curve.metadata["warning"])
     acc /= n_configs
     meta = {"ensemble": n_configs, "seed": seed, "mode": cce.mode,
             "order": cce.order, "sequence": sequence.kind}
     if n_spins is not None:
         meta["n_spins"] = n_spins
+    if warned:
+        meta["warning"] = (f"{len(warned)} of {n_configs} configurations "
+                           f"warned; first: {warned[0]}")
     return CoherenceCurve(times=t, values=acc.astype(complex), metadata=meta)
 
 

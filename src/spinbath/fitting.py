@@ -188,11 +188,20 @@ def run_sweep(thicknesses, densities, n_configs, seed, observable="t2star",
                   "placement_mode": placement_mode})
 
 
+_SWEEP_META = ("seed", "n_configs", "observable", "target_spins",
+               "placement_mode")
+
+
 def write_sweep(grid: SweepGrid, fh):
+    """Text form of a sweep grid.  Its metadata must hold every field that
+    run_sweep records; a missing one raises ValueError naming it, before
+    anything is written."""
+    missing = [key for key in _SWEEP_META if key not in grid.metadata]
+    if missing:
+        raise ValueError(f"sweep metadata lacks {missing[0]!r}")
     fh.write("# spinbath sweep v1\n")
-    fh.write(f"meta seed {grid.metadata.get('seed')} "
-             f"n_configs {grid.metadata.get('n_configs')} "
-             f"observable {grid.metadata.get('observable')}\n")
+    fh.write("meta " + " ".join(f"{key} {grid.metadata[key]}"
+                                for key in _SWEEP_META) + "\n")
     fh.write("thicknesses " + " ".join(repr(float(v)) for v in grid.thicknesses) + "\n")
     fh.write("densities " + " ".join(repr(float(v)) for v in grid.densities) + "\n")
     for (i, j), samples in sorted(grid.cells.items()):
@@ -204,9 +213,11 @@ def read_sweep(fh) -> SweepGrid:
     cell or a cell without n_configs samples raises ValueError naming the
     line."""
     rd = LineReader(fh, "sweep v1", "sweep")
-    seed, n_configs, observable = rd.record(
-        "meta", "seed", int, "n_configs", int, "observable", str)
-    meta = {"seed": seed, "n_configs": n_configs, "observable": observable}
+    seed, n_configs, observable, target_spins, placement_mode = rd.record(
+        "meta", "seed", int, "n_configs", int, "observable", str,
+        "target_spins", int, "placement_mode", str)
+    meta = {"seed": seed, "n_configs": n_configs, "observable": observable,
+            "target_spins": target_spins, "placement_mode": placement_mode}
     thicknesses = np.array(rd.record("thicknesses", [float])[0])
     densities = np.array(rd.record("densities", [float])[0])
     cells = rd.cells((len(thicknesses), len(densities)), size=n_configs)

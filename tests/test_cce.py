@@ -1,4 +1,6 @@
 import io
+import multiprocessing
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -267,14 +269,13 @@ def dense_test_bath(n=30, seed=4, ppm=50.0):
         geom, seed, nuclear_projections=p1.nuclear_projections), n)
 
 
-@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
-@pytest.mark.parametrize("exact", [False, True])
-@pytest.mark.parametrize("size", [1, 2, 3])
-def test_batched_kernel_bit_identical(sequence, exact, size):
+def kernel_inputs(size, n_sets=400):
+    """(H0, H1, state bits, cluster sets, time grid) of up to n_sets
+    random-field clusters of `size` spins of dense_test_bath()."""
     cfg = dense_test_bath()
     rng = np.random.default_rng(size)
     sets = np.array([c for c in enumerate_clusters(cfg, size, 1e9)
-                     if len(c) == size][:400])
+                     if len(c) == size][:n_sets])
     pos = cfg.positions
     rel = pos[:, None] - pos[None]
     r = np.linalg.norm(rel, axis=-1)
@@ -285,6 +286,14 @@ def test_batched_kernel_bit_identical(sequence, exact, size):
     H0, H1 = cce_module._secular_blocks(sets, eps, azz, jzz, (0, -1))
     bits = rng.integers(0, 2, len(cfg))
     t = np.concatenate([[0.0], np.geomspace(1e-5, 0.05, 40)])
+    return H0, H1, bits, sets, t
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_batched_kernel_bit_identical(sequence, exact, size):
+    H0, H1, bits, sets, t = kernel_inputs(size)
     new = cce_module._secular_cluster_curves(H0, H1, bits, sets, sequence, t,
                                              exact=exact)
     ref = reference_cluster_curves(H0, H1, bits, sets, sequence, t,
@@ -295,6 +304,106 @@ def test_batched_kernel_bit_identical(sequence, exact, size):
         assert np.max(np.abs(new - ref)) <= 1e-12
     else:
         assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_kernel_values_do_not_depend_on_worker_count(monkeypatch, sequence,
+                                                     exact, size):
+    # a prime cluster count is not a multiple of any chunk size above 1,
+    # and small chunks give every case several of them
+    H0, H1, bits, sets, t = kernel_inputs(size, n_sets=29 if size == 1 else 397)
+    monkeypatch.setattr(cce_module, "_KERNEL_CHUNK", 2**10)
+    curves = []
+    for workers in (1, 2, 3, len(sets) + 1):
+        monkeypatch.setattr(cce_module, "_WORKERS", workers)
+        curves.append(cce_module._secular_cluster_curves(
+            H0, H1, bits, sets, sequence, t, exact=exact))
+    for other in curves[1:]:
+        assert np.array_equal(other, curves[0])
+
+
+def test_eigh_runs_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(cce_module, "_WORKERS", 2)
+    eigh, contract = np.linalg.eigh, cce_module._contract
+    eigh_threads, kernel_threads = set(), set()
+
+    def recorded_eigh(*args, **kwargs):
+        eigh_threads.add(threading.get_ident())
+        return eigh(*args, **kwargs)
+
+    def recorded_contract(*args, **kwargs):
+        kernel_threads.add(threading.get_ident())
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    monkeypatch.setattr(cce_module, "_contract", recorded_contract)
+    t = np.concatenate([[0.0], np.geomspace(1e-4, 0.05, 30)])
+    cce = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=2, time_grid=t)
+    cce_coherence(dense_test_bath(), cce, HAHN_ECHO, seed=3,
+                  p1=DEFAULTS.p1("n14"))
+    assert eigh_threads == {threading.get_ident()}
+    # the pairs' chunks ran on the pool
+    assert kernel_threads - eigh_threads
+
+
+def test_kernel_worker_exception_reaches_caller(monkeypatch):
+    monkeypatch.setattr(cce_module, "_WORKERS", 2)
+    caller = threading.get_ident()
+    contract = cce_module._contract
+
+    def failing_off_the_caller(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise RuntimeError("chunk failed")
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(cce_module, "_contract", failing_off_the_caller)
+    H0, H1, bits, sets, t = kernel_inputs(2)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cce_module._secular_cluster_curves(H0, H1, bits, sets, HAHN_ECHO, t)
+
+
+def test_kernel_workers_use_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(cce_module, "_WORKERS", 2)
+    contract = cce_module._contract
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(cce_module, "_contract", recorded)
+    H0, H1, bits, sets, t = kernel_inputs(2)
+    with np.errstate(over="raise"):
+        cce_module._secular_cluster_curves(H0, H1, bits, sets, HAHN_ECHO, t)
+    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert {state for _, state in seen} == {"raise"}
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_kernel_runs_in_a_forked_child(monkeypatch):
+    monkeypatch.setattr(cce_module, "_WORKERS", 2)
+    H0, H1, bits, sets, t = kernel_inputs(2)
+
+    def curves():
+        return cce_module._secular_cluster_curves(H0, H1, bits, sets,
+                                                  HAHN_ECHO, t)
+
+    expected = curves()  # starts the pool in this process
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=lambda: results.put(curves()))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
@@ -761,6 +870,28 @@ def test_ensemble_coherence_shape_and_normalization():
     assert abs(curve.values[0]) == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.abs(curve.values) <= 1.0 + 1e-9)
     assert curve.metadata["ensemble"] == 4
+    assert "warning" not in curve.metadata
+
+
+def test_ensemble_coherence_carries_warnings(monkeypatch):
+    cce_coherence_ = cce_module.cce_coherence
+    calls = []
+
+    def first_and_third_warn(*args, **kwargs):
+        curve = cce_coherence_(*args, **kwargs)
+        calls.append(len(calls))
+        if calls[-1] != 1:
+            curve.metadata["warning"] = f"problem in call {calls[-1]}"
+        return curve
+
+    monkeypatch.setattr(cce_module, "cce_coherence", first_and_third_warn)
+    geom = BathGeometry(10.0, 10.0, default_lateral_radius(10.0, 10.0, 4),
+                        "continuum-poisson")
+    cce = CCEConfig(order=1, dipole_radius=1e9, n_bath_states=1,
+                    time_grid=np.linspace(0.0, 0.01, 5))
+    curve = ensemble_coherence(geom, 3, cce, HAHN_ECHO, seed=3)
+    assert curve.metadata["warning"] == \
+        "2 of 3 configurations warned; first: problem in call 0"
 
 
 def test_ensemble_curve_without_n_spins_writes():

@@ -146,6 +146,21 @@ def test_coherence_divergence_warns_on_stderr():
     assert "# meta warning CCE diverging: max |L| = 5.26e+19" in proc.stdout
 
 
+def test_ensemble_coherence_file_carries_warning(capsys):
+    # the bath of the test above, as a 3-configuration ensemble
+    with pytest.warns(RuntimeWarning, match="CCE diverging"):
+        code, out, _ = run_cli(
+            capsys, "coherence", "--density", "20", "--thickness", "10",
+            "--target-spins", "6", "--seed", "4", "--mode", "full",
+            "--order", "2", "--kind", "ramsey", "--bath-state-mode", "exact",
+            "--npoints", "30", "--nconfigs", "3")
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("# meta warning")] \
+        == ["# meta warning 3 of 3 configurations warned; first: CCE "
+            "diverging: max |L| = 1.39e+07 exceeds 1.01 (order 2, exact "
+            "bath states)"]
+
+
 def test_coherence_oversized_full_clusters(monkeypatch, capsys):
     import spinbath.cce as cce_module
 

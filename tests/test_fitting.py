@@ -134,6 +134,7 @@ def test_sweep_round_trip():
     write_sweep(grid, buf)
     text = buf.getvalue()
     back = read_sweep(io.StringIO(text))
+    assert back.metadata == grid.metadata
     assert np.array_equal(back.thicknesses, grid.thicknesses)
     assert np.array_equal(back.densities, grid.densities)
     for key in grid.cells:
@@ -151,10 +152,23 @@ def _sweep_text():
                      cells={(i, j): rng.lognormal(0.0, 0.5, 3)
                             for i in range(2) for j in range(2)},
                      metadata={"seed": 5, "n_configs": 3,
-                               "observable": "t2star"})
+                               "observable": "t2star", "target_spins": 36,
+                               "placement_mode": "lattice-site"})
     buf = io.StringIO()
     write_sweep(grid, buf)
     return grid, buf.getvalue()
+
+
+def test_write_sweep_needs_full_metadata():
+    grid, _ = _sweep_text()
+    partial = SweepGrid(thicknesses=grid.thicknesses,
+                        densities=grid.densities, cells=grid.cells,
+                        metadata={"seed": 5, "n_configs": 3,
+                                  "observable": "t2star"})
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="lacks 'target_spins'"):
+        write_sweep(partial, buf)
+    assert buf.getvalue() == ""
 
 
 @given(cut=st.integers(0, len(_sweep_text()[1])))

@@ -19,7 +19,7 @@ from spinbath.mle import (
     read_library,
     write_library,
 )
-from spinbath.fitting import SweepGrid, run_sweep
+from spinbath.fitting import SweepGrid, read_sweep, run_sweep, write_sweep
 
 
 def lognormal_rates(mu, sigma, n, seed):
@@ -262,6 +262,23 @@ def test_library_from_sweep_matches_build():
         texts.append(buf.getvalue())
     assert texts[0] == texts[1]
     assert "seed 8 n_samples 60 " in texts[0]
+
+
+def test_library_from_sweep_file_keeps_provenance():
+    grid = run_sweep([3.0], [2.0, 5.0], 20, seed=4,
+                     placement_mode="continuum-poisson")
+    buf = io.StringIO()
+    write_sweep(grid, buf)
+    back = read_sweep(io.StringIO(buf.getvalue()))
+    libs = [library_from_sweep(g) for g in (grid, back)]
+    assert libs[1].provenance == libs[0].provenance
+    assert libs[1].provenance["placement_mode"] == "continuum-poisson"
+    texts = []
+    for lib in libs:
+        out = io.StringIO()
+        write_library(lib, out)
+        texts.append(out.getvalue())
+    assert texts[1] == texts[0]
 
 
 def test_library_from_sweep_rejects_empty_cell():
