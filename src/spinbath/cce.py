@@ -43,7 +43,6 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bath import BathConfiguration
 from .constants import CONSTANTS, DEFAULTS, FieldConfig, P1Params
@@ -167,25 +166,20 @@ def write_curve(curve: CoherenceCurve, fh):
 
 
 def read_curve(fh) -> CoherenceCurve:
-    header = fh.readline()
-    if "curve v1" not in header:
-        raise ValueError("not a spinbath curve v1 file")
+    """Inverse of write_curve, with metadata values as strings.  A
+    malformed line or a file without data rows raises ValueError naming
+    the line."""
+    from .textio import LineReader
+
+    rd = LineReader(fh, "curve v1", "curve")
     meta = {}
-    times, values = [], []
-    for line in fh:
-        if line.startswith("# meta "):
-            _, _, key, val = line.split(None, 3)
-            meta[key] = val.strip()
-        elif line.startswith("#"):
-            continue
-        elif line.strip():
-            t, re, im = line.split()
-            times.append(float(t))
-            values.append(complex(float(re), float(im)))
-    if not times:
-        raise ValueError("curve file has no data rows")
-    return CoherenceCurve(times=np.array(times),
-                          values=np.array(values), metadata=meta)
+    rows = list(rd.rows(float, float, float, meta=meta))
+    if not rows:
+        raise rd.error("no data rows")
+    return CoherenceCurve(times=np.array([t for t, _, _ in rows]),
+                          values=np.array([complex(re, im)
+                                           for _, re, im in rows]),
+                          metadata=meta)
 
 
 # --- strong/weak partition and analytic CCE1 -----------------------------
@@ -294,6 +288,8 @@ def _sorted_unique(keys):
 def _adjacency(pos, radius):
     """CSR neighbour lists (indptr, indices) of the graph joining spins
     at distance <= radius."""
+    from scipy.spatial import cKDTree
+
     n = len(pos)
     # the tree proposes pairs; the squared distance summed over x, y, z
     # against radius**2 decides, so rounding at the boundary is the same
@@ -736,7 +732,7 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     t = cce.time_grid
     meta = {"mode": cce.mode, "bath_state_mode": cce.bath_state_mode,
             "order": cce.order, "n_bath_states": cce.n_bath_states,
-            "seed": seed, "floored_fraction": 0.0}
+            "sequence": sequence.kind, "seed": seed, "floored_fraction": 0.0}
     if n == 0:
         return CoherenceCurve(times=t, values=np.ones(len(t), complex), metadata=meta)
 
@@ -888,7 +884,8 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
             warned.append(curve.metadata["warning"])
     acc /= n_configs
     meta = {"ensemble": n_configs, "seed": seed, "mode": cce.mode,
-            "order": cce.order, "sequence": sequence.kind}
+            "bath_state_mode": cce.bath_state_mode, "order": cce.order,
+            "n_bath_states": cce.n_bath_states, "sequence": sequence.kind}
     if n_spins is not None:
         meta["n_spins"] = n_spins
     if warned:

@@ -12,6 +12,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 
 import numpy as np
@@ -118,6 +119,9 @@ def _time_grid(args):
 
 
 def cmd_coherence(args):
+    """One curve whose metadata holds every option that changes its bytes
+    (for a --bath run, the path and SHA-256 of the bath file in place of
+    the geometry), so the file records how to regenerate it."""
     field = FieldConfig(B_z=args.field)
     p1 = DEFAULTS.p1(args.isotope)
     sequence = sequence_by_name(args.kind)
@@ -127,23 +131,32 @@ def cmd_coherence(args):
     if args.bath is None and (args.density is None or args.thickness is None):
         raise ValueError("need --bath or both --density and --thickness")
     if args.bath is not None:
+        with open(args.bath, "rb") as fh:
+            source = {"bath": args.bath,
+                      "bath_sha256": hashlib.sha256(fh.read()).hexdigest()}
         with open(args.bath) as fh:
             cfg = read_bath(fh)
         curve = cce_coherence(cfg, cce, sequence, field=field,
                               seed=args.seed, p1=p1)
-    elif args.nconfigs > 1:
-        geom = _geometry(args, args.target_spins)
-        curve = ensemble_coherence(geom, args.nconfigs, cce, sequence,
-                                   args.seed, field=field, p1=p1)
     else:
         geom = _geometry(args, args.target_spins)
-        cfg = generate_bath(geom, args.seed,
-                            nuclear_projections=p1.nuclear_projections)
-        curve = cce_coherence(cfg, cce, sequence, field=field,
-                              seed=args.seed, p1=p1)
-    curve.metadata["tool_version"] = __version__
-    curve.metadata["isotope"] = args.isotope
-    curve.metadata["field_G"] = args.field
+        source = {"density_ppm": geom.density_ppm,
+                  "thickness_nm": geom.thickness,
+                  "lateral_radius_nm": geom.lateral_radius,
+                  "target_spins": args.target_spins,
+                  "placement_mode": geom.placement_mode}
+        if args.nconfigs > 1:
+            curve = ensemble_coherence(geom, args.nconfigs, cce, sequence,
+                                       args.seed, field=field, p1=p1)
+        else:
+            cfg = generate_bath(geom, args.seed,
+                                nuclear_projections=p1.nuclear_projections)
+            curve = cce_coherence(cfg, cce, sequence, field=field,
+                                  seed=args.seed, p1=p1)
+    curve.metadata.update(
+        source, tool_version=__version__, isotope=args.isotope,
+        field_G=args.field, dipole_radius_nm=args.dipole_radius,
+        tmax_ms=args.tmax, npoints=args.npoints, log_grid=args.log_grid)
     _write(args, lambda fh: write_curve(curve, fh))
     return 0
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .bath import BathGeometry, default_lateral_radius
 from .cce import CoherenceCurve, partition_strong_weak
@@ -80,6 +79,8 @@ def fit_stretched_exponential(curve: CoherenceCurve, envelope=False,
     finite baths saturate at a configuration-dependent plateau, and fitting
     it explicitly keeps the plateau from flattening the apparent exponent.
     """
+    from scipy.optimize import curve_fit
+
     t = np.asarray(curve.times, dtype=float)
     y = np.abs(np.asarray(curve.values))
     if envelope:

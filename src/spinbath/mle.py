@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import __version__
 from .fitting import SweepGrid, run_sweep
@@ -252,6 +251,8 @@ def estimate_density(surface: LikelihoodSurface,
                      fixed_thickness) -> DensityEstimate:
     """Normal-distribution fit to the exponentiated likelihood linecut
     at the grid thickness nearest fixed_thickness."""
+    from scipy.optimize import curve_fit
+
     i = int(np.argmin(np.abs(surface.thicknesses - fixed_thickness)))
     line = surface.log_likelihood[i]
     if np.ptp(line) < LINECUT_FLAT_TOL:

@@ -1,5 +1,6 @@
-"""Line-by-line reader shared by the bath, library, sweep and yield-report
-parsers.  Every ValueError it raises names the file kind and the line."""
+"""Line-by-line reader shared by the bath, curve, library, sweep and
+yield-report parsers.  Every ValueError it raises names the file kind and
+the line."""
 
 from __future__ import annotations
 
@@ -56,11 +57,19 @@ class LineReader:
         self.lineno += 1
         return self._parse(self._fh.readline(), spec)
 
-    def rows(self, *spec):
-        """Values of each remaining line; blank and '#' lines are skipped."""
+    def rows(self, *spec, meta=None):
+        """Values of each remaining line; blank and '#' lines are skipped,
+        except that, given a dict `meta`, each '# meta <key> <value>' line
+        stores its value, inner spaces kept, under its key."""
         for line in self._fh:
             self.lineno += 1
-            if line.strip() and not line.startswith("#"):
+            if meta is not None and line.startswith("# meta "):
+                entry = line[len("# meta "):].split(None, 1)
+                if len(entry) < 2:
+                    raise self.error(f"expected '# meta <key> <value>', "
+                                     f"got {line.strip()!r}")
+                meta[entry[0]] = entry[1].strip()
+            elif line.strip() and not line.startswith("#"):
                 yield self._parse(line, spec)
 
     def cells(self, shape, size=None):

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.stats import kstest
 
 from .bath import (BathGeometry, default_lateral_radius, generate_bath,
                    keep_nearest, mean_nn_distance_formula,
@@ -254,6 +253,8 @@ def check_p1_spectroscopy():
 def check_nearest_neighbor_law(n_samples=10_000, seed=500):
     """Monte-Carlo <r_nn> within 1% of 0.554 rho^-1/3 at 1, 3, 10 ppm and
     KS < 0.03 against the closed-form 3D and 2D distributions."""
+    from scipy.stats import kstest
+
     details = {}
     ok = True
     for ppm in (1.0, 3.0, 10.0):

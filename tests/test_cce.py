@@ -977,3 +977,39 @@ def test_read_curve_truncated(cut):
     except ValueError:
         return
     assert len(curve.times) == len(curve.values) >= 1
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.002 0.5\n", "curve file line 5: expected '<float> <float> <float>'"
+                    ", got '0.002 0.5'"),
+    ("0.002 abc 0.1\n", "curve file line 5: expected '<float> <float> "
+                        "<float>', got '0.002 abc 0.1'"),
+    ("0.002 0.5 0.1 7\n", "curve file line 5: expected '<float> <float> "
+                          "<float>', got '0.002 0.5 0.1 7'"),
+    ("# meta seed\n", "curve file line 5: expected '# meta <key> <value>', "
+                      "got '# meta seed'"),
+])
+def test_read_curve_names_the_malformed_line(row, message):
+    text = _curve_text().splitlines(keepends=True)
+    text.insert(4, row)  # after the header, one meta line and two rows
+    with pytest.raises(ValueError) as info:
+        read_curve(io.StringIO("".join(text)))
+    assert str(info.value) == message
+
+
+def test_read_curve_without_rows_names_the_line():
+    with pytest.raises(ValueError, match="^curve file line 3: no data rows$"):
+        read_curve(io.StringIO("# spinbath curve v1\n# meta order 2\n"
+                               "# time_ms re_L im_L\n"))
+
+
+def test_read_curve_keeps_spaces_in_meta_values():
+    curve = CoherenceCurve(times=np.linspace(0.0, 0.01, 3),
+                           values=np.ones(3, complex),
+                           metadata={"warning": "2 of 3 configurations "
+                                     "warned; first: CCE  diverging",
+                                     "bath": "my baths/b 1.txt"})
+    buf = io.StringIO()
+    write_curve(curve, buf)
+    back = read_curve(io.StringIO(buf.getvalue()))
+    assert back.metadata == curve.metadata

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath
+from spinbath.cce import read_curve
 from spinbath.cli import main, parse_axis, read_measurements
 
 
@@ -98,6 +101,61 @@ def test_coherence_from_bath_file(tmp_path, capsys):
     assert len(lines) == 21
     t0 = [float(v) for v in lines[0].split()]
     assert t0[0] == 0.0 and abs(complex(t0[1], t0[2])) == pytest.approx(1.0)
+
+
+def _coherence_argv(meta):
+    """The coherence command line that a curve's metadata records."""
+    argv = ["coherence",
+            "--kind", {"Ramsey": "ramsey", "HahnEcho": "hahn"}[meta["sequence"]],
+            "--order", meta["order"], "--nstates", meta["n_bath_states"],
+            "--mode", meta["mode"], "--bath-state-mode", meta["bath_state_mode"],
+            "--dipole-radius", meta["dipole_radius_nm"],
+            "--tmax", meta["tmax_ms"], "--npoints", meta["npoints"],
+            "--isotope", meta["isotope"], "--field", meta["field_G"],
+            "--seed", meta["seed"]]
+    if meta["log_grid"] == "True":
+        argv.append("--log-grid")
+    if "bath" in meta:
+        return argv + ["--bath", meta["bath"]]
+    argv += ["--density", meta["density_ppm"],
+             "--thickness", meta["thickness_nm"],
+             "--radius", meta["lateral_radius_nm"],
+             "--target-spins", meta["target_spins"],
+             "--placement", meta["placement_mode"]]
+    if "ensemble" in meta:
+        argv += ["--nconfigs", meta["ensemble"]]
+    return argv
+
+
+@pytest.mark.parametrize("options", [
+    ["--density", "15", "--thickness", "8", "--target-spins", "9",
+     "--placement", "continuum-poisson", "--kind", "ramsey", "--order", "3",
+     "--nstates", "2", "--dipole-radius", "6.5", "--tmax", "0.03",
+     "--npoints", "12", "--log-grid", "--isotope", "n14", "--field", "120.5",
+     "--seed", "11"],
+    ["--density", "20", "--thickness", "10", "--radius", "7.25",
+     "--nconfigs", "3", "--bath-state-mode", "exact", "--mode", "full",
+     "--order", "2", "--npoints", "8", "--seed", "4"],
+    ["--bath", "BATH", "--kind", "hahn", "--order", "2", "--npoints", "10",
+     "--seed", "3"],
+])
+def test_coherence_curve_regenerates_from_its_metadata(tmp_path, capsys,
+                                                       options):
+    bath_file = tmp_path / "a bath.txt"
+    code, _, _ = run_cli(capsys, "bath", "--density", "20", "--thickness",
+                         "10", "--target-spins", "8", "--seed", "5",
+                         "--out", str(bath_file))
+    assert code == 0
+    options = [str(bath_file) if v == "BATH" else v for v in options]
+    code, out, _ = run_cli(capsys, "coherence", *options)
+    assert code == 0
+    meta = read_curve(io.StringIO(out)).metadata
+    if "bath" in meta:
+        assert meta["bath_sha256"] == \
+            hashlib.sha256(bath_file.read_bytes()).hexdigest()
+    code, again, _ = run_cli(capsys, *_coherence_argv(meta))
+    assert code == 0
+    assert again == out
 
 
 def test_coherence_truncated_bath_file(tmp_path, capsys):
