@@ -253,8 +253,8 @@ def write_bath(config: BathConfiguration, fh):
     g = config.geometry
     fh.write("# spinbath bath-config v1\n")
     fh.write(" ".join(map(str, ("seed", config.seed, *config.spawn_key))) + "\n")
-    fh.write(f"geometry {g.density_ppm!r} {g.thickness!r} "
-             f"{g.lateral_radius!r} {g.placement_mode}\n")
+    fh.write(f"geometry {float(g.density_ppm)!r} {float(g.thickness)!r} "
+             f"{float(g.lateral_radius)!r} {g.placement_mode}\n")
     cx, cy, cz = (float(v) for v in config.central_position)
     fh.write(f"central {cx!r} {cy!r} {cz!r}\n")
     fh.write(f"nspins {len(config)}\n")

@@ -23,9 +23,8 @@ Two Hamiltonian modes:
   and every time point together; clusters are limited to
   MAX_FULL_CLUSTER_SPINS spins.  This mode runs on the calling thread.
 
-The analytic order-1 Ramsey path (Gaussian envelope times cosine factors
-from strongly coupled spins) lives here too, with the strong/weak
-partition that defines T2* = sqrt(2)/A_bath.
+The order-1 Ramsey closed form (a product of cosines) lives here too,
+with the strong/weak partition that defines T2* = sqrt(2)/A_bath.
 
 The expansion follows Yang & Liu, PRB 78, 085315 (2008); clusters of one
 size are treated as one batch, as in PyCCE (Onizhuk & Galli, Adv. Theory
@@ -35,6 +34,7 @@ Simul. 4, 2100254, 2021).
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import threading
 import warnings
@@ -182,7 +182,7 @@ def read_curve(fh) -> CoherenceCurve:
                           metadata=meta)
 
 
-# --- strong/weak partition and analytic CCE1 -----------------------------
+# --- strong/weak partition and order-1 closed form ------------------------
 
 @dataclass(frozen=True)
 class StrongWeakPartition:
@@ -242,23 +242,6 @@ def ramsey_product_of_cosines(config: BathConfiguration, time_grid,
         if len(az) else np.ones_like(t)
     return CoherenceCurve(times=t, values=vals.astype(complex),
                           metadata={"n_spins": len(az)})
-
-
-def ramsey_cce1_analytic(config: BathConfiguration, time_grid,
-                         central=None) -> CoherenceCurve:
-    """L(t) = exp[-(t/T2*)^2] * prod_strong cos(A_z t / 2)."""
-    t = np.asarray(time_grid, dtype=float)
-    part = partition_strong_weak(config, central)
-    if np.isfinite(part.t2_star):
-        env = np.exp(-((t / part.t2_star) ** 2))
-    else:
-        env = np.ones_like(t)
-    osc = np.ones_like(t)
-    for _, az in part.strong:
-        osc = osc * np.cos(az * t / 2.0)
-    return CoherenceCurve(times=t, values=(env * osc).astype(complex),
-                          metadata={"t2_star": part.t2_star,
-                                    "n_strong": len(part.strong)})
 
 
 # --- cluster enumeration --------------------------------------------------
@@ -423,9 +406,9 @@ def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
     in the rotating frame of the free central spin.
 
     bath_state: integer basis index of the bath product state (bit b of the
-    index = 0 for m=+1/2 of cluster spin b), a normalized bath-state
-    vector of dimension 2^k, or None for the thermal average over all 2^k
-    product basis states (fully mixed bath), which are evolved as one batch.
+    index = 0 for m=+1/2 of cluster spin b), or None for the thermal
+    average over all 2^k product basis states (fully mixed bath), which
+    are evolved as one batch.
     Every bath state and time point goes through one batched pass per
     free-evolution segment.  Returns complex L(t) over time_grid,
     normalized so L(0) = 1.  Clusters of more than MAX_FULL_CLUSTER_SPINS
@@ -438,10 +421,9 @@ def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
     k = len(positions)
     _check_full_cluster_size(k)
     nb = 2**k
-    ham = build_cluster_hamiltonian(positions, central, field, p1,
-                                    nuclear_assignment,
-                                    central_position=central_position)
-    hmat = ham.matrix
+    hmat = build_cluster_hamiltonian(positions, central, field, p1,
+                                     nuclear_assignment,
+                                     central_position=central_position)
     if extra_z_shifts is not None:
         # static z field from out-of-cluster bath spins on each member;
         # in the kron layout spin i occupies bit (k-1-i) of the bath index
@@ -452,15 +434,13 @@ def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
 
     if bath_state is None:
         bath = np.eye(nb, dtype=complex)
-    elif isinstance(bath_state, (int, np.integer)):
+    else:
         # public convention: bit i of bath_state is spin i (0 = m=+1/2);
         # convert to the kron layout where spin i is bit (k-1-i)
         idx = sum(((int(bath_state) >> i) & 1) << (k - 1 - i)
                   for i in range(k))
         bath = np.zeros((nb, 1), dtype=complex)
         bath[idx] = 1.0
-    else:
-        bath = np.asarray(bath_state, dtype=complex).reshape(nb, 1)
     m0, m1 = central.qubit_levels
     i0, i1 = SPIN1_M_ORDER.index(m0), SPIN1_M_ORDER.index(m1)
     psi0 = np.zeros((3, nb, bath.shape[1]), dtype=complex)
@@ -498,30 +478,24 @@ def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
 
 # --- secular-mode batched machinery ---------------------------------------
 
-def _pair_index_cache():
-    cache = {}
-
-    def get(k):
-        if k not in cache:
-            d = 2**k
-            bits = ((np.arange(d)[:, None] >> np.arange(k)[None, :]) & 1)
-            sz = 0.5 - bits  # P_z eigenvalue of spin b in basis state
-            pair_zz = {}
-            pair_ff = {}
-            for i in range(k):
-                for j in range(i + 1, k):
-                    pair_zz[(i, j)] = sz[:, i] * sz[:, j]
-                    # basis states with bit_i=0, bit_j=1 connect to swapped
-                    p = np.flatnonzero((bits[:, i] == 0) & (bits[:, j] == 1))
-                    q = p + (1 << i) - (1 << j)
-                    pair_ff[(i, j)] = (p, q)
-            cache[k] = (sz, pair_zz, pair_ff)
-        return cache[k]
-
-    return get
-
-
-_pair_data = _pair_index_cache()
+@functools.lru_cache(maxsize=None)
+def _pair_data(k):
+    """Per-spin P_z eigenvalues (2^k, k) of the basis states of a k-spin
+    cluster, and per pair i < j the zz diagonal and the (p, q) basis
+    states that a flip-flop connects."""
+    d = 2**k
+    bits = ((np.arange(d)[:, None] >> np.arange(k)[None, :]) & 1)
+    sz = 0.5 - bits  # P_z eigenvalue of spin b in basis state
+    pair_zz = {}
+    pair_ff = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            pair_zz[(i, j)] = sz[:, i] * sz[:, j]
+            # basis states with bit_i=0, bit_j=1 connect to swapped
+            p = np.flatnonzero((bits[:, i] == 0) & (bits[:, j] == 1))
+            q = p + (1 << i) - (1 << j)
+            pair_ff[(i, j)] = (p, q)
+    return sz, pair_zz, pair_ff
 
 
 def _secular_blocks(cluster_sets, eps_c, azz, jzz, qubit_levels):
@@ -848,8 +822,8 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
 
 def spawn_seed(root_seed, cell_index, config_index):
     """Deterministic per-configuration seed from one user seed."""
-    ss = np.random.SeedSequence(root_seed, spawn_key=(cell_index, config_index))
-    return ss
+    return np.random.SeedSequence(root_seed,
+                                  spawn_key=(cell_index, config_index))
 
 
 def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
@@ -896,8 +870,7 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
 
 def simulate_observable(geometry, n_configs, cce, sequence, seed,
                         observable="t2star", central=None, p1=None,
-                        field=None, nuclear_projections=None,
-                        cell_index=0):
+                        field=None, cell_index=0):
     """Per-configuration coherence times for one (geometry, sequence).
 
     observable "t2star": analytic order-1 partition route (Ramsey).
@@ -910,12 +883,11 @@ def simulate_observable(geometry, n_configs, cce, sequence, seed,
 
     central = central or DEFAULTS.central
     p1 = p1 or DEFAULTS.p1("n15")
-    if nuclear_projections is None:
-        nuclear_projections = p1.nuclear_projections
+    projections = p1.nuclear_projections
     times = []
     for i in range(n_configs):
         ss = spawn_seed(seed, cell_index, i)
-        config = generate_bath(geometry, ss, nuclear_projections=nuclear_projections)
+        config = generate_bath(geometry, ss, nuclear_projections=projections)
         if observable == "t2star":
             part = partition_strong_weak(config, central)
             times.append(part.t2_star)

@@ -118,18 +118,34 @@ def _time_grid(args):
     return np.linspace(0.0, args.tmax, args.npoints + 1)
 
 
+# coherence options that describe generated baths, with their defaults; a
+# --bath file fixes the bath, so none of them may be given with it
+_GENERATED_BATH_OPTIONS = {"density": None, "thickness": None, "radius": None,
+                           "target_spins": 36, "placement": "lattice-site",
+                           "nconfigs": 1}
+
+
 def cmd_coherence(args):
     """One curve whose metadata holds every option that changes its bytes
     (for a --bath run, the path and SHA-256 of the bath file in place of
     the geometry), so the file records how to regenerate it."""
+    if args.bath is not None:
+        given = [f"--{name.replace('_', '-')}" for name in
+                 _GENERATED_BATH_OPTIONS if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--bath fixes the bath; {', '.join(given)} "
+                             f"cannot be given with it")
+    elif args.density is None or args.thickness is None:
+        raise ValueError("need --bath or both --density and --thickness")
+    for name, default in _GENERATED_BATH_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     field = FieldConfig(B_z=args.field)
     p1 = DEFAULTS.p1(args.isotope)
     sequence = sequence_by_name(args.kind)
     cce = CCEConfig(order=args.order, dipole_radius=args.dipole_radius,
                     n_bath_states=args.nstates, time_grid=_time_grid(args),
                     mode=args.mode, bath_state_mode=args.bath_state_mode)
-    if args.bath is None and (args.density is None or args.thickness is None):
-        raise ValueError("need --bath or both --density and --thickness")
     if args.bath is not None:
         with open(args.bath, "rb") as fh:
             source = {"bath": args.bath,
@@ -280,18 +296,22 @@ def build_parser():
 
     sp = sub.add_parser("coherence", help="simulate one coherence curve")
     sp.add_argument("--kind", default="hahn", choices=["ramsey", "hahn"])
-    sp.add_argument("--bath", default=None, help="bath file (overrides geometry)")
+    sp.add_argument("--bath", default=None,
+                    help="bath file; excludes --density, --thickness, "
+                    "--radius, --target-spins, --placement and --nconfigs")
     sp.add_argument("--density", type=float, default=None)
     sp.add_argument("--thickness", type=float, default=None)
     sp.add_argument("--radius", type=float, default=None)
-    sp.add_argument("--target-spins", type=int, default=36)
+    sp.add_argument("--target-spins", type=int, default=None,
+                    help="default 36")
     sp.add_argument("--field", type=float, default=DEFAULTS.field.B_z,
                     help="magnetic field along the quantization axis (G)")
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--nstates", type=int, default=1,
                     help="sampled bath states per configuration")
-    sp.add_argument("--nconfigs", type=int, default=1,
-                    help=">1 averages |L| over random configurations")
+    sp.add_argument("--nconfigs", type=int, default=None,
+                    help=">1 averages |L| over random configurations "
+                    "(default 1)")
     sp.add_argument("--dipole-radius", type=float, default=1e9)
     sp.add_argument("--mode", default="secular", choices=["secular", "full"])
     sp.add_argument("--bath-state-mode", default="sample",
@@ -302,8 +322,9 @@ def build_parser():
     sp.add_argument("--isotope", default="n15", choices=["n14", "n15"])
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--placement", default="lattice-site",
-                    choices=["lattice-site", "continuum-poisson"])
+    sp.add_argument("--placement", default=None,
+                    choices=["lattice-site", "continuum-poisson"],
+                    help="default lattice-site")
     sp.set_defaults(func=cmd_coherence)
 
     sp = sub.add_parser("sweep", help="grid sweep of coherence times")

@@ -91,7 +91,7 @@ class CentralSpinParams:
             raise ValueError("quantization_axis must be a unit vector")
         object.__setattr__(self, "quantization_axis", axis)
         a, b = self.qubit_levels
-        valid = {-1, 0, 1} if self.spin == 1 else {m for m in (-1, 0, 1)}
+        valid = {-1, 0, 1}
         if a == b or a not in valid or b not in valid:
             raise ValueError("qubit_levels must be two distinct m_s values")
 
@@ -211,9 +211,8 @@ DEFAULTS = load_parameters()
 CONSTANTS = DEFAULTS.constants
 
 
-def ppm_to_number_density(ppm, constants: PhysicalConstants = None) -> float:
+def ppm_to_number_density(ppm) -> float:
     """Defect concentration in ppm of carbon sites -> number per nm^3."""
     if ppm < 0:
         raise ValueError("ppm must be >= 0")
-    c = constants or CONSTANTS
-    return float(ppm) * 1e-6 * c.diamond_atomic_density
+    return float(ppm) * 1e-6 * CONSTANTS.diamond_atomic_density

@@ -37,9 +37,6 @@ class SweepGrid:
     cells: dict  # (i_thickness, i_density) -> np.ndarray of samples (ms)
     metadata: dict = dataclass_field(default_factory=dict)
 
-    def stats(self, i, j) -> DistributionStats:
-        return distribution_stats(self.cells[(i, j)])
-
 
 def _stretched(t, t2, n):
     return np.exp(-((t / t2) ** n))

@@ -22,7 +22,6 @@ no sum.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .constants import (
     CentralSpinParams,
     FieldConfig,
     P1Params,
-    PhysicalConstants,
     radms_to_mhz,
 )
 
@@ -68,56 +66,20 @@ def _frame(axis):
 
 # --- couplings ----------------------------------------------------------
 
-def dipolar_tensor(r_vec, gamma_1=None, gamma_2=None,
-                   constants: PhysicalConstants = CONSTANTS):
-    """Point-dipole coupling tensor (rad/ms) for the displacement r_vec (nm).
+def dipolar_tensor(r_vec):
+    """Point-dipole coupling tensor (rad/ms) between two electron spins at
+    displacement r_vec (nm).
 
     Returns (pref / r^3) * (delta_ab - 3 rhat_a rhat_b), symmetric and
-    traceless, with pref = (mu0/4pi) gamma_1 gamma_2 hbar.  Gyromagnetic
-    ratios default to the electron value.
+    traceless, with pref = (mu0/4pi) gamma_e^2 hbar.
     """
     r_vec = np.asarray(r_vec, dtype=float)
     r = np.linalg.norm(r_vec)
     if r == 0:
         raise ValueError("coincident spins")
-    g1 = constants.gamma_e if gamma_1 is None else gamma_1
-    g2 = constants.gamma_e if gamma_2 is None else gamma_2
-    pref = constants.dipolar_prefactor * (g1 * g2) / constants.gamma_e**2
     rhat = r_vec / r
-    return (pref / r**3) * (np.eye(3) - 3.0 * np.outer(rhat, rhat))
-
-
-def secular_Azz(central_pos, bath_spin_pos, qubit_levels=(0, -1),
-                axis=None, constants: PhysicalConstants = CONSTANTS):
-    """Effective dephasing coupling A_z (rad/ms) of one bath spin.
-
-    A_z is the difference of the bath-spin frequency shift between the two
-    qubit levels: (m1 - m0) * e3.T @ A @ e3 with e3 the quantization axis.
-    """
-    central_pos = np.asarray(central_pos, dtype=float)
-    bath_spin_pos = np.asarray(bath_spin_pos, dtype=float)
-    if axis is None:
-        axis = JT_AXES[0]
-    tensor = dipolar_tensor(bath_spin_pos - central_pos, constants=constants)
-    e3 = np.asarray(axis, dtype=float)
-    e3 = e3 / np.linalg.norm(e3)
-    azz = float(e3 @ tensor @ e3)
-    m0, m1 = qubit_levels
-    return (m1 - m0) * azz
-
-
-@dataclass(frozen=True)
-class ClusterHamiltonian:
-    """Dense Hermitian Hamiltonian of central spin + cluster bath spins."""
-
-    dimension: int
-    matrix: np.ndarray
-    spin_index_map: tuple  # ("central", bath index 0, bath index 1, ...)
-
-    def __post_init__(self):
-        scale = max(1.0, float(np.linalg.norm(self.matrix)))
-        if np.linalg.norm(self.matrix - self.matrix.conj().T) > 1e-12 * scale:
-            raise AssertionError("assembled Hamiltonian is not Hermitian")
+    return (CONSTANTS.dipolar_prefactor / r**3) * \
+        (np.eye(3) - 3.0 * np.outer(rhat, rhat))
 
 
 def _product_nonzeros(n, factors):
@@ -165,10 +127,9 @@ def _term_table(n):
 
 def build_cluster_hamiltonian(positions, central: CentralSpinParams,
                               field: FieldConfig, p1: P1Params,
-                              nuclear_assignment, central_position=None,
-                              constants: PhysicalConstants = CONSTANTS,
-                              couplings_enabled=True):
-    """Assemble the full central-spin + cluster Hamiltonian (rad/ms).
+                              nuclear_assignment, central_position=None):
+    """Assemble the full central-spin + cluster Hamiltonian (rad/ms) as a
+    dense Hermitian (3 * 2^n, 3 * 2^n) matrix.
 
     positions: (n, 3) bath-spin positions (nm); nuclear_assignment: list of
     (nuclear m, JT axis index) per bath spin.  Central spin at
@@ -184,7 +145,7 @@ def build_cluster_hamiltonian(positions, central: CentralSpinParams,
     central_position = np.asarray(central_position, dtype=float)
 
     R = _frame(central.quantization_axis)
-    gamma = constants.gamma_e
+    gamma = CONSTANTS.gamma_e
     B = field.B_z
     dim = 3 << n
 
@@ -195,33 +156,30 @@ def build_cluster_hamiltonian(positions, central: CentralSpinParams,
     for i in range(n):
         m_i, axis_i = nuclear_assignment[i]
         coefs[2 + 10 * i] = p1.hyperfine_shift(m_i, axis_i) - gamma * B
-        if couplings_enabled:
-            A = dipolar_tensor(positions[i] - central_position,
-                               constants=constants)
-            coefs[3 + 10 * i:12 + 10 * i] = (R @ A @ R.T).ravel()
-    if couplings_enabled:
-        k = 2 + 10 * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                J = dipolar_tensor(positions[j] - positions[i],
-                                   constants=constants)
-                coefs[k:k + 9] = (R @ J @ R.T).ravel()
-                k += 9
+        A = dipolar_tensor(positions[i] - central_position)
+        coefs[3 + 10 * i:12 + 10 * i] = (R @ A @ R.T).ravel()
+    k = 2 + 10 * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            J = dipolar_tensor(positions[j] - positions[i])
+            coefs[k:k + 9] = (R @ J @ R.T).ravel()
+            k += 9
 
     idx, vals, counts = _term_table(n)
     keep = coefs != 0.0
     sel = np.repeat(keep, counts)
     H = np.zeros(dim * dim, dtype=complex)
     np.add.at(H, idx[sel], np.repeat(coefs[keep], counts[keep]) * vals[sel])
-    return ClusterHamiltonian(dimension=dim, matrix=H.reshape(dim, dim),
-                              spin_index_map=("central",) + tuple(range(n)))
+    H = H.reshape(dim, dim)
+    scale = max(1.0, float(np.linalg.norm(H)))
+    if np.linalg.norm(H - H.conj().T) > 1e-12 * scale:
+        raise AssertionError("assembled Hamiltonian is not Hermitian")
+    return H
 
 
 # --- P1 ESR spectroscopy ------------------------------------------------
 
-def p1_transition_frequencies(field: FieldConfig, p1: P1Params,
-                              constants: PhysicalConstants = CONSTANTS,
-                              weight_threshold=0.2):
+def p1_transition_frequencies(field: FieldConfig, p1: P1Params):
     """Electron-spin-flip transition frequencies of an isolated P1.
 
     Exact diagonalization of the electron (S=1/2) x nucleus (2I+1) system
@@ -251,7 +209,7 @@ def p1_transition_frequencies(field: FieldConfig, p1: P1Params,
     Iops = (Ix, Iy, Iz)
     Sops = (SX2, SY2, SZ2)
 
-    gamma = -constants.gamma_e  # physical sign of the electron moment
+    gamma = -CONSTANTS.gamma_e  # physical sign of the electron moment
     axis_angles = {}  # cos(beta) -> representative axis indices
     for k in range(4):
         cb = round(float(np.dot(JT_AXES[k], p1.quantization_axis)) ** 2, 9)
@@ -276,7 +234,7 @@ def p1_transition_frequencies(field: FieldConfig, p1: P1Params,
         for ppp in range(dim):
             for q in range(ppp + 1, dim):
                 w = abs(evecs[:, q].conj() @ Sx_full @ evecs[:, ppp]) ** 2
-                if w < weight_threshold:
+                if w < 0.2:  # forbidden line
                     continue
                 m_q = float(np.real(evecs[:, q].conj() @ Iz_full @ evecs[:, q]))
                 m_nuc = float(mI[np.argmin(np.abs(mI - m_q))])

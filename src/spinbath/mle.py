@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import __version__
+from .cce import spawn_seed
 from .fitting import SweepGrid, run_sweep
 from .textio import LineReader
 
@@ -316,8 +317,7 @@ def benchmark_error(library: CoherenceLibrary, sample_counts, trials,
         eps_sq = []
         for jt, j in enumerate(tested):
             cell = library.cells[(i, j)]
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(int(a), int(jt))))
+            rng = np.random.default_rng(spawn_seed(seed, a, jt))
             for _ in range(trials):
                 rates = rng.choice(cell, size=int(n), replace=True)
                 rho = _mle_argmax_density(rates, library, i, refine_step)

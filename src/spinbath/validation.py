@@ -18,8 +18,7 @@ from .bath import (BathGeometry, default_lateral_radius, generate_bath,
                    nearest_neighbor_distance)
 from .cce import (CCEConfig, HAHN_ECHO, RAMSEY, CoherenceCurve,
                   _pi_pulse_matrix, as_seed_sequence, cce_coherence,
-                  ensemble_coherence, ramsey_cce1_analytic,
-                  ramsey_product_of_cosines, spawn_seed)
+                  ensemble_coherence, ramsey_product_of_cosines, spawn_seed)
 from .constants import DEFAULTS, ppm_to_number_density
 from .fitting import distribution_stats, fit_stretched_exponential, run_sweep
 from .hamiltonian import SPIN1_M_ORDER, build_cluster_hamiltonian, \
@@ -85,8 +84,8 @@ def dense_echo_reference(config, time_grid, nuclear_ms, jt_axes, state_bits,
     pos = config.positions
     n = len(pos)
     assign = [(nuclear_ms[i], int(jt_axes[i])) for i in range(n)]
-    ham = build_cluster_hamiltonian(pos, central, field, p1, assign)
-    evals, evecs = np.linalg.eigh(ham.matrix)
+    evals, evecs = np.linalg.eigh(
+        build_cluster_hamiltonian(pos, central, field, p1, assign))
     nb = 2**n
     m0, m1 = central.qubit_levels
     i0, i1 = SPIN1_M_ORDER.index(m0), SPIN1_M_ORDER.index(m1)
@@ -265,7 +264,7 @@ def check_nearest_neighbor_law(n_samples=10_000, seed=500):
         geom = BathGeometry(ppm, t, R, "continuum-poisson")
         rnn = np.empty(n_samples)
         for k in range(n_samples):
-            ss = np.random.SeedSequence(seed, spawn_key=(int(ppm * 10), k))
+            ss = spawn_seed(seed, int(ppm * 10), k)
             cfg = generate_bath(geom, ss, exclusion_radius=0.0)
             rnn[k] = (nearest_neighbor_distance(cfg) if len(cfg)
                       else np.inf)
@@ -283,7 +282,7 @@ def check_nearest_neighbor_law(n_samples=10_000, seed=500):
     geom = BathGeometry(ppm, t2d, R, "continuum-poisson")
     rnn = []
     for k in range(n_samples):
-        ss = np.random.SeedSequence(seed, spawn_key=(999, k))
+        ss = spawn_seed(seed, 999, k)
         cfg = generate_bath(geom, ss, exclusion_radius=0.0)
         if len(cfg):
             rnn.append(nearest_neighbor_distance(cfg))

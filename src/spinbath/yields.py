@@ -13,10 +13,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bath import (BathConfiguration, BathGeometry, generate_bath,
-                   mean_nn_distance_formula, nearest_neighbor_distance,
-                   slice_bath)
-from .cce import STRONG_THRESHOLD, _couplings, partition_strong_weak
+from .bath import (BathConfiguration, BathGeometry, default_lateral_radius,
+                   generate_bath, mean_nn_distance_formula,
+                   nearest_neighbor_distance, slice_bath)
+from .cce import (STRONG_THRESHOLD, _couplings, partition_strong_weak,
+                  spawn_seed)
 from .constants import CentralSpinParams, DEFAULTS, ppm_to_number_density
 from .textio import LineReader
 
@@ -216,15 +217,14 @@ def yield_sweep(densities, thicknesses, n_configs, seed,
     frac = np.zeros((len(densities), len(thicknesses)))
     stderr = np.zeros_like(frac)
     for i, rho in enumerate(densities):
-        R = np.sqrt(target_spins /
-                    (ppm_to_number_density(rho) * np.pi * master_thickness))
         geom = BathGeometry(density_ppm=float(rho),
                             thickness=float(master_thickness),
-                            lateral_radius=float(R),
+                            lateral_radius=default_lateral_radius(
+                                rho, master_thickness, target_spins),
                             placement_mode=placement_mode)
         hits = np.zeros(len(thicknesses))
         for c in range(n_configs):
-            ss = np.random.SeedSequence(seed, spawn_key=(int(i), int(c)))
+            ss = spawn_seed(seed, i, c)
             master = generate_bath(geom, ss)
             for j, t in enumerate(thicknesses):
                 sl = slice_bath(master, float(t))
@@ -248,14 +248,13 @@ def yield_sweep(densities, thicknesses, n_configs, seed,
 
 
 def visibility_ratio_2d3d(density_ppm, thin_thickness, thick_thickness,
-                          n_configs, seed, method="peaked-gamma"):
+                          n_configs, seed):
     """Monte-Carlo <nu_2D> / <nu_3D> between a thin and a thick slab.
 
-    "peaked-gamma" draws the nearest-neighbor distance from random bath
-    configurations and evaluates nu = r_nn^-3 / (sqrt(2) Gamma_kD) with
-    the continuum rate cutoff at r_nn (the rest-of-bath rate treated as
-    sharply peaked); "dipolar" computes nu directly from the discrete
-    couplings of each configuration.  Returns (ratio, details dict).
+    Draws the nearest-neighbor distance from random bath configurations
+    and evaluates nu = r_nn^-3 / (sqrt(2) Gamma_kD) with the continuum
+    rate cutoff at r_nn (the rest-of-bath rate treated as sharply peaked,
+    method "peaked-gamma" in the details).  Returns (ratio, details dict).
     """
     rnn_mean = mean_nn_distance_formula(density_ppm)
     if thin_thickness > rnn_mean or thick_thickness < 3 * rnn_mean:
@@ -263,31 +262,26 @@ def visibility_ratio_2d3d(density_ppm, thin_thickness, thick_thickness,
                       "ratio may not be dimension-limited", stacklevel=2)
     rho = ppm_to_number_density(density_ppm)
     means = {}
-    for tag, t in (("2D", thin_thickness), ("3D", thick_thickness)):
-        R = np.sqrt(MASTER_TARGET_SPINS / (rho * np.pi * t))
+    for cell, (tag, t) in enumerate((("2D", thin_thickness),
+                                     ("3D", thick_thickness))):
         geom = BathGeometry(density_ppm=float(density_ppm), thickness=float(t),
-                            lateral_radius=float(R),
+                            lateral_radius=default_lateral_radius(
+                                density_ppm, t, MASTER_TARGET_SPINS),
                             placement_mode="continuum-poisson")
+        dens = rho * t if tag == "2D" else rho
         nus = []
         for c in range(n_configs):
-            ss = np.random.SeedSequence(seed, spawn_key=(0 if tag == "2D" else 1,
-                                                         int(c)))
-            cfg = generate_bath(geom, ss, exclusion_radius=0.0)
+            cfg = generate_bath(geom, spawn_seed(seed, cell, c),
+                                exclusion_radius=0.0)
             if len(cfg) < 2:
                 continue
-            if method == "peaked-gamma":
-                rnn = nearest_neighbor_distance(cfg)
-                dens = rho * t if tag == "2D" else rho
-                nus.append(float(peaked_gamma_visibility(rnn, tag, dens)))
-            elif method == "dipolar":
-                nus.append(visibility(cfg).nu)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            rnn = nearest_neighbor_distance(cfg)
+            nus.append(float(peaked_gamma_visibility(rnn, tag, dens)))
         means[tag] = float(np.mean(nus))
     ratio = means["2D"] / means["3D"]
     return ratio, {"mean_nu_2d": means["2D"], "mean_nu_3d": means["3D"],
-                   "method": method, "n_configs": n_configs, "seed": seed,
-                   "mean_rnn": rnn_mean}
+                   "method": "peaked-gamma", "n_configs": n_configs,
+                   "seed": seed, "mean_rnn": rnn_mean}
 
 
 # --- serialization ------------------------------------------------------

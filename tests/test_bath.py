@@ -375,3 +375,14 @@ def test_int_seed_line_is_unchanged():
     text, back = _round_trip(cfg)
     assert text.splitlines()[1] == "seed 7"
     assert (back.seed, back.spawn_key) == (7, ())
+
+
+def test_numpy_typed_geometry_round_trips():
+    geom = BathGeometry(np.float64(3.0), np.float32(5.5),
+                        np.float64(default_lateral_radius(3.0, 5.5)))
+    cfg = generate_bath(geom, 7)
+    text, back = _round_trip(cfg)
+    assert text.splitlines()[2] == \
+        f"geometry 3.0 5.5 {default_lateral_radius(3.0, 5.5)!r} lattice-site"
+    assert back == cfg
+    assert _round_trip(back)[0] == text

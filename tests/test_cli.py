@@ -277,6 +277,30 @@ def test_coherence_needs_geometry_or_bath(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("options", [
+    ["--density", "50"],
+    ["--thickness", "8", "--radius", "6"],
+    ["--target-spins", "36"],
+    ["--placement", "lattice-site"],
+    ["--nconfigs", "3", "--density", "50", "--placement", "continuum-poisson"],
+])
+def test_coherence_bath_file_rejects_geometry_options(tmp_path, capsys,
+                                                      options):
+    bath_file = tmp_path / "bath.txt"
+    code, _, _ = run_cli(capsys, "bath", "--density", "20", "--thickness",
+                         "10", "--target-spins", "8", "--seed", "5",
+                         "--out", str(bath_file))
+    assert code == 0
+    code, out, err = run_cli(capsys, "coherence", "--bath", str(bath_file),
+                             "--npoints", "5", *options)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    for opt in options:
+        if opt.startswith("--"):
+            assert opt in err
+
+
 def test_sweep_stats_footer(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--densities", "3,9",
                            "--thicknesses", "5", "--nconfigs", "10",

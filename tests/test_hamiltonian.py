@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath.bath import BathConfiguration, BathGeometry
+from spinbath.cce import _couplings
 from spinbath.constants import (
     CONSTANTS,
     DEFAULTS,
@@ -25,7 +27,6 @@ from spinbath.hamiltonian import (
     build_cluster_hamiltonian,
     dipolar_tensor,
     p1_transition_frequencies,
-    secular_Azz,
 )
 
 vec3 = st.tuples(*(st.floats(-10, 10) for _ in range(3))).map(np.array).filter(
@@ -68,15 +69,24 @@ def test_dipolar_on_axis_value():
 
 
 def test_secular_azz_angular_dependence():
-    central = np.zeros(3)
-    axis = np.array([0.0, 0.0, 1.0])
-    on = secular_Azz(central, np.array([0, 0, 2.0]), (0, -1), axis)
-    magic = secular_Azz(
-        central, 2.0 * np.array([np.sin(0.9553166), 0, np.cos(0.9553166)]),
-        (0, -1), axis)
+    # cce._couplings is the one A_z routine: A_z = (m1 - m0) e3.T A e3
+    central = CentralSpinParams(
+        spin=1.0,
+        zero_field_splitting_D=DEFAULTS.central.zero_field_splitting_D,
+        quantization_axis=np.array([0.0, 0.0, 1.0]), qubit_levels=(0, -1))
+    pos = np.array([[0.0, 0.0, 2.0],
+                    2.0 * np.array([np.sin(0.9553166), 0, np.cos(0.9553166)]),
+                    [1.0, -2.0, 0.5]])
+    bath = BathConfiguration(
+        central_position=np.zeros(3), positions=pos, jt_axes=np.zeros(3, int),
+        nuclear_m=np.full(3, 0.5),
+        geometry=BathGeometry(3.0, 60.0, 60.0, "continuum-poisson"), seed=0)
+    on, magic, tilted = _couplings(bath, central)
     assert abs(magic) < 1e-6 * abs(on)
     # qubit (0,-1): A_z = (m1-m0) Azz = -Azz; on-axis Azz < 0 so A_z > 0
     assert on == pytest.approx(2.0 * CONSTANTS.dipolar_prefactor / 8.0)
+    # the zz element of the full dipolar tensor along the axis
+    assert tilted == pytest.approx(-dipolar_tensor(pos[2])[2, 2], rel=1e-12)
 
 
 def test_cluster_hamiltonian_hermitian_and_dimension():
@@ -84,26 +94,12 @@ def test_cluster_hamiltonian_hermitian_and_dimension():
     ham = build_cluster_hamiltonian(
         pos, DEFAULTS.central, DEFAULTS.field, DEFAULTS.p1("n15"),
         [(0.5, 0), (-0.5, 2)])
-    assert ham.dimension == 12
-    assert np.allclose(ham.matrix, ham.matrix.conj().T)
-
-
-def test_cluster_hamiltonian_coupling_toggle():
-    pos = np.array([[1.5, 0.5, 1.0]])
-    with_c = build_cluster_hamiltonian(
-        pos, DEFAULTS.central, DEFAULTS.field, DEFAULTS.p1("n15"),
-        [(0.5, 1)])
-    without = build_cluster_hamiltonian(
-        pos, DEFAULTS.central, DEFAULTS.field, DEFAULTS.p1("n15"),
-        [(0.5, 1)], couplings_enabled=False)
-    assert not np.allclose(with_c.matrix, without.matrix)
-    # the uncoupled Hamiltonian is diagonal in the product basis
-    off = without.matrix - np.diag(np.diag(without.matrix))
-    assert np.abs(off).max() < 1e-12 * np.abs(without.matrix).max()
+    assert ham.shape == (12, 12)
+    assert np.allclose(ham, ham.conj().T)
 
 
 def _reference_hamiltonian(positions, central, field, p1, nuclear_assignment,
-                           central_position=None, couplings_enabled=True):
+                           central_position=None):
     """The original assembly: every term a dense product of Kronecker-
     embedded operators, added to H in turn."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
@@ -132,22 +128,20 @@ def _reference_hamiltonian(positions, central, field, p1, nuclear_assignment,
         m_i, axis_i = nuclear_assignment[i]
         shift = p1.hyperfine_shift(m_i, axis_i)
         H += (shift - gamma * B) * Pb[i][2]
-        if couplings_enabled:
-            A = dipolar_tensor(positions[i] - central_position)
-            A = R @ A @ R.T
+        A = dipolar_tensor(positions[i] - central_position)
+        A = R @ A @ R.T
+        for a in range(3):
+            for b in range(3):
+                if A[a, b] != 0.0:
+                    H += A[a, b] * (Sc[a] @ Pb[i][b])
+    for i in range(n):
+        for j in range(i + 1, n):
+            J = dipolar_tensor(positions[j] - positions[i])
+            J = R @ J @ R.T
             for a in range(3):
                 for b in range(3):
-                    if A[a, b] != 0.0:
-                        H += A[a, b] * (Sc[a] @ Pb[i][b])
-    if couplings_enabled:
-        for i in range(n):
-            for j in range(i + 1, n):
-                J = dipolar_tensor(positions[j] - positions[i])
-                J = R @ J @ R.T
-                for a in range(3):
-                    for b in range(3):
-                        if J[a, b] != 0.0:
-                            H += J[a, b] * (Pb[i][a] @ Pb[j][b])
+                    if J[a, b] != 0.0:
+                        H += J[a, b] * (Pb[i][a] @ Pb[j][b])
     return H
 
 
@@ -183,25 +177,8 @@ def test_cluster_hamiltonian_matches_embedded_products(n, isotope):
                                         assign, **kwargs)
         ref = _reference_hamiltonian(pos, central, DEFAULTS.field, p1,
                                      assign, **kwargs)
-        assert ham.dimension == 3 * 2**n
-        assert np.array_equal(ham.matrix, ref)
-
-
-@pytest.mark.parametrize("n", [1, 3, 6])
-def test_uncoupled_hamiltonian_matches_embedded_products(n):
-    rng = np.random.default_rng(n)
-    pos = rng.uniform(-4.0, 4.0, (n, 3))
-    p1, (assign, *_) = _assignments("n15", n)
-    for central in (DEFAULTS.central, TILTED_CENTRAL):
-        ham = build_cluster_hamiltonian(
-            pos, central, FieldConfig(B_z=57.0), p1, assign,
-            central_position=np.array([0.5, -0.25, 1.0]),
-            couplings_enabled=False)
-        ref = _reference_hamiltonian(
-            pos, central, FieldConfig(B_z=57.0), p1, assign,
-            central_position=np.array([0.5, -0.25, 1.0]),
-            couplings_enabled=False)
-        assert np.array_equal(ham.matrix, ref)
+        assert ham.shape == (3 * 2**n, 3 * 2**n)
+        assert np.array_equal(ham, ref)
 
 
 def test_term_table_is_read_only():
