@@ -826,9 +826,29 @@ def spawn_seed(root_seed, cell_index, config_index):
                                   spawn_key=(cell_index, config_index))
 
 
+def _configurations(geometry, n_configs, seed, cell_index, n_spins=None,
+                    **bath_options):
+    """Yield (seed sequence, configuration) for n_configs random baths.
+
+    Configuration i is generate_bath(geometry, spawn_seed(seed, cell_index,
+    i), **bath_options), cut to its n_spins nearest spins when n_spins is
+    given.  Fewer than one configuration raises ValueError.
+    """
+    # looked up on the module at each call, so patched hooks see every call
+    from . import bath
+
+    if n_configs < 1:
+        raise ValueError(f"need at least 1 configuration, got {n_configs}")
+    for i in range(n_configs):
+        ss = spawn_seed(seed, cell_index, i)
+        config = bath.generate_bath(geometry, ss, **bath_options)
+        if n_spins is not None:
+            config = bath.keep_nearest(config, n_spins)
+        yield ss, config
+
+
 def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
-                       n_spins=None, central=None, p1=None, field=None,
-                       cell_index=0) -> CoherenceCurve:
+                       n_spins=None, p1=None, field=None) -> CoherenceCurve:
     """Ensemble-averaged |L(t)| over random bath configurations.
 
     Each configuration is drawn from `geometry` (optionally truncated to
@@ -838,21 +858,15 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
     configuration's curve warns, meta["warning"] gives how many did and
     the first one's text.
     """
-    from .bath import generate_bath, keep_nearest
-
-    central = central or DEFAULTS.central
     p1 = p1 or DEFAULTS.p1("n15")
     t = cce.time_grid
     acc = np.zeros(len(t))
     warned = []
-    for i in range(n_configs):
-        ss = spawn_seed(seed, cell_index, i)
-        config = generate_bath(geometry, ss,
-                               nuclear_projections=p1.nuclear_projections)
-        if n_spins is not None:
-            config = keep_nearest(config, n_spins)
+    for ss, config in _configurations(
+            geometry, n_configs, seed, 0, n_spins,
+            nuclear_projections=p1.nuclear_projections):
         curve = cce_coherence(config, cce, sequence, field=field,
-                              seed=ss.spawn(1)[0], central=central, p1=p1)
+                              seed=ss.spawn(1)[0], p1=p1)
         acc += np.abs(curve.values)
         if "warning" in curve.metadata:
             warned.append(curve.metadata["warning"])
@@ -868,37 +882,10 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
     return CoherenceCurve(times=t, values=acc.astype(complex), metadata=meta)
 
 
-def simulate_observable(geometry, n_configs, cce, sequence, seed,
-                        observable="t2star", central=None, p1=None,
-                        field=None, cell_index=0):
-    """Per-configuration coherence times for one (geometry, sequence).
-
-    observable "t2star": analytic order-1 partition route (Ramsey).
-    observable "t2": CCE curves fitted to stretched exponentials.
-    Failed fits are flagged entries (NaN) rather than global aborts; a
-    diverging expansion raises ValueError from cce_coherence.
-    """
-    from .bath import generate_bath
-    from .fitting import fit_stretched_exponential
-
-    central = central or DEFAULTS.central
-    p1 = p1 or DEFAULTS.p1("n15")
-    projections = p1.nuclear_projections
-    times = []
-    for i in range(n_configs):
-        ss = spawn_seed(seed, cell_index, i)
-        config = generate_bath(geometry, ss, nuclear_projections=projections)
-        if observable == "t2star":
-            part = partition_strong_weak(config, central)
-            times.append(part.t2_star)
-        elif observable == "t2":
-            curve = cce_coherence(config, cce, sequence, field=field,
-                                  seed=ss.spawn(1)[0], central=central, p1=p1)
-            try:
-                fit = fit_stretched_exponential(curve)
-                times.append(fit.t2 if fit.converged else np.nan)
-            except ValueError:
-                times.append(np.nan)
-        else:
-            raise ValueError(f"unknown observable {observable!r}")
-    return times
+def simulate_observable(geometry, n_configs, seed, cell_index):
+    """T2* (ms) of each of n_configs random baths of `geometry`, by the
+    analytic order-1 strong/weak partition (Ramsey); a bath with no weak
+    spins gives inf."""
+    return [partition_strong_weak(config).t2_star
+            for _, config in _configurations(geometry, n_configs, seed,
+                                             cell_index)]

@@ -3,10 +3,11 @@
 Subcommands: bath, coherence, sweep, library, mle, yield, validate.
 Units at the boundary: densities in ppm, thicknesses/radii in nm, field in
 Gauss, measured T2* in microseconds (one per line, # comments allowed);
-internal times are ms.  All randomness derives from --seed through a
-documented splitting scheme (per-configuration seed = SeedSequence(seed,
-spawn_key=(cell_index, config_index))), so identical invocations produce
-byte-identical outputs.
+internal times are ms.  All randomness derives from --seed, so identical
+invocations produce byte-identical outputs: `bath` and a one-configuration
+`coherence` run seed their bath with it directly, and every Monte-Carlo
+run draws configuration i of grid cell c from SeedSequence(seed,
+spawn_key=(c, i)) (cce.spawn_seed).
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def cmd_coherence(args):
                   "lateral_radius_nm": geom.lateral_radius,
                   "target_spins": args.target_spins,
                   "placement_mode": geom.placement_mode}
-        if args.nconfigs > 1:
+        if args.nconfigs != 1:
             curve = ensemble_coherence(geom, args.nconfigs, cce, sequence,
                                        args.seed, field=field, p1=p1)
         else:
@@ -179,18 +180,19 @@ def cmd_coherence(args):
 
 def cmd_sweep(args):
     grid = run_sweep(parse_axis(args.thicknesses), parse_axis(args.densities),
-                     args.nconfigs, args.seed, observable=args.observable,
-                     target_spins=args.target_spins,
+                     args.nconfigs, args.seed, target_spins=args.target_spins,
                      placement_mode=args.placement)
+    # every stat before the output opens, so a failing one writes nothing
+    stats = ["# stats thickness_nm density_ppm mu_ms sigma_log10 n n_excluded\n"]
+    for (i, j), samples in sorted(grid.cells.items()):
+        st = distribution_stats(samples)
+        stats.append(f"# stat {float(grid.thicknesses[i])!r} "
+                     f"{float(grid.densities[j])!r} "
+                     f"{st.mu!r} {st.sigma!r} {st.n_samples} {st.n_excluded}\n")
 
     def writer(fh):
         write_sweep(grid, fh)
-        fh.write("# stats thickness_nm density_ppm mu_ms sigma_log10 n n_excluded\n")
-        for (i, j), samples in sorted(grid.cells.items()):
-            st = distribution_stats(samples)
-            fh.write(f"# stat {float(grid.thicknesses[i])!r} "
-                     f"{float(grid.densities[j])!r} "
-                     f"{st.mu!r} {st.sigma!r} {st.n_samples} {st.n_excluded}\n")
+        fh.writelines(stats)
 
     _write(args, writer)
     return 0
@@ -327,12 +329,11 @@ def build_parser():
                     help="default lattice-site")
     sp.set_defaults(func=cmd_coherence)
 
-    sp = sub.add_parser("sweep", help="grid sweep of coherence times")
+    sp = sub.add_parser("sweep", help="grid sweep of T2* samples")
     sp.add_argument("--densities", required=True,
                     help="ppm axis: list '1,5,9' or range 'lo:hi[:logN|:linN]'")
     sp.add_argument("--thicknesses", required=True, help="nm axis, same syntax")
     sp.add_argument("--nconfigs", type=int, default=100)
-    sp.add_argument("--observable", default="t2star", choices=["t2star", "t2"])
     sp.add_argument("--target-spins", type=int, default=36)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)

@@ -158,11 +158,10 @@ def distribution_stats(samples) -> DistributionStats:
     )
 
 
-def run_sweep(thicknesses, densities, n_configs, seed, observable="t2star",
-              target_spins=36, placement_mode="lattice-site",
-              cce=None, sequence=None) -> SweepGrid:
-    """Populate a (thickness, density) grid with per-configuration
-    coherence-time samples; raw samples are retained per cell."""
+def run_sweep(thicknesses, densities, n_configs, seed, target_spins=36,
+              placement_mode="lattice-site") -> SweepGrid:
+    """Populate a (thickness, density) grid with per-configuration T2*
+    samples (simulate_observable); raw samples are retained per cell."""
     from .cce import simulate_observable
 
     thicknesses = np.asarray(thicknesses, dtype=float)
@@ -174,15 +173,13 @@ def run_sweep(thicknesses, densities, n_configs, seed, observable="t2star",
                 density_ppm=float(rho), thickness=float(t),
                 lateral_radius=default_lateral_radius(rho, t, target_spins),
                 placement_mode=placement_mode)
-            cell_index = i * len(densities) + j
-            samples = simulate_observable(
-                geom, n_configs, cce, sequence, seed,
-                observable=observable, cell_index=cell_index)
+            samples = simulate_observable(geom, n_configs, seed,
+                                          i * len(densities) + j)
             cells[(i, j)] = np.asarray(samples, dtype=float)
     return SweepGrid(
         thicknesses=thicknesses, densities=densities, cells=cells,
         metadata={"seed": seed, "n_configs": n_configs,
-                  "observable": observable, "target_spins": target_spins,
+                  "observable": "t2star", "target_spins": target_spins,
                   "placement_mode": placement_mode})
 
 

@@ -156,7 +156,7 @@ def build_library(thicknesses, densities, n_samples, seed,
     """Populate the grid with 1/T2* samples via the analytic dephasing route
     (a T2* sweep turned into a library by library_from_sweep)."""
     grid = run_sweep(thicknesses, densities, n_samples, seed,
-                     observable="t2star", placement_mode=placement_mode)
+                     placement_mode=placement_mode)
     return library_from_sweep(grid, n_bins=n_bins)
 
 

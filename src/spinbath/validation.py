@@ -16,11 +16,11 @@ import numpy as np
 from .bath import (BathGeometry, default_lateral_radius, generate_bath,
                    keep_nearest, mean_nn_distance_formula,
                    nearest_neighbor_distance)
-from .cce import (CCEConfig, HAHN_ECHO, RAMSEY, CoherenceCurve,
+from .cce import (CCEConfig, HAHN_ECHO, RAMSEY, _configurations,
                   _pi_pulse_matrix, as_seed_sequence, cce_coherence,
-                  ensemble_coherence, ramsey_product_of_cosines, spawn_seed)
+                  ramsey_product_of_cosines, simulate_observable)
 from .constants import DEFAULTS, ppm_to_number_density
-from .fitting import distribution_stats, fit_stretched_exponential, run_sweep
+from .fitting import fit_stretched_exponential, run_sweep
 from .hamiltonian import SPIN1_M_ORDER, build_cluster_hamiltonian, \
     p1_transition_frequencies
 from .mle import benchmark_error, build_library
@@ -169,8 +169,6 @@ def ensemble_echo_fit(density_ppm, n_configs, seed, n_spins=100,
     flattening the apparent exponent.  Returns (median T2 ms, mean
     exponent, list of fits).
     """
-    from .bath import generate_bath, keep_nearest
-
     p1 = DEFAULTS.p1("n14")
     rho = ppm_to_number_density(density_ppm)
     R = (n_spins / (2.0 * np.pi * rho)) ** (1.0 / 3.0)
@@ -182,11 +180,9 @@ def ensemble_echo_fit(density_ppm, n_configs, seed, n_spins=100,
                     mode="secular", bath_state_mode="sample",
                     frozen_nuclear=False)
     fits = []
-    for i in range(n_configs):
-        ss = spawn_seed(seed, 0, i)
-        config = keep_nearest(
-            generate_bath(geom, ss, nuclear_projections=p1.nuclear_projections),
-            n_spins)
+    for ss, config in _configurations(
+            geom, n_configs, seed, 0, n_spins,
+            nuclear_projections=p1.nuclear_projections):
         curve = cce_coherence(config, cce, HAHN_ECHO,
                               seed=ss.spawn(1)[0], p1=p1)
         try:
@@ -262,13 +258,9 @@ def check_nearest_neighbor_law(n_samples=10_000, seed=500):
         R = max(3.0 * expect,
                 default_lateral_radius(ppm, t, 60))
         geom = BathGeometry(ppm, t, R, "continuum-poisson")
-        rnn = np.empty(n_samples)
-        for k in range(n_samples):
-            ss = spawn_seed(seed, int(ppm * 10), k)
-            cfg = generate_bath(geom, ss, exclusion_radius=0.0)
-            rnn[k] = (nearest_neighbor_distance(cfg) if len(cfg)
-                      else np.inf)
-        rnn = rnn[np.isfinite(rnn)]
+        rnn = np.array([nearest_neighbor_distance(cfg) for _, cfg in
+                        _configurations(geom, n_samples, seed, int(ppm * 10),
+                                        exclusion_radius=0.0) if len(cfg)])
         rel = abs(float(np.mean(rnn)) - expect) / expect
         ks3 = kstest(rnn, nn_pdf("3D", density_ppm=ppm).cdf).statistic
         details[f"rel_mean_err_{ppm:g}ppm"] = round(rel, 4)
@@ -280,14 +272,10 @@ def check_nearest_neighbor_law(n_samples=10_000, seed=500):
     sigma2d = ppm_to_number_density(ppm) * t2d
     R = np.sqrt(60.0 / (np.pi * sigma2d))
     geom = BathGeometry(ppm, t2d, R, "continuum-poisson")
-    rnn = []
-    for k in range(n_samples):
-        ss = spawn_seed(seed, 999, k)
-        cfg = generate_bath(geom, ss, exclusion_radius=0.0)
-        if len(cfg):
-            rnn.append(nearest_neighbor_distance(cfg))
-    ks2 = kstest(np.array(rnn),
-                 nn_pdf("2D", areal_density=sigma2d).cdf).statistic
+    rnn = np.array([nearest_neighbor_distance(cfg) for _, cfg in
+                    _configurations(geom, n_samples, seed, 999,
+                                    exclusion_radius=0.0) if len(cfg)])
+    ks2 = kstest(rnn, nn_pdf("2D", areal_density=sigma2d).cdf).statistic
     details["ks2d_3ppm"] = round(float(ks2), 4)
     ok = ok and ks2 < 0.03
     return ("nearest-neighbor-law", ok, details)
@@ -346,7 +334,8 @@ def check_mle_benchmark(samples_per_cell=500, trials=200, seed=11,
     return ("mle-benchmark", ok,
             {"rms_error_N8": round(rms8, 3),
              "exponent_p": round(bm.exponent, 3),
-             "rms_errors": [round(v, 3) for v in bm.mean_relative_error]})
+             "rms_errors": [round(float(v), 3)
+                            for v in bm.mean_relative_error]})
 
 
 # --- 9: distribution collapse ------------------------------------------
@@ -367,12 +356,9 @@ def check_distribution_collapse(n_configs=1000, seed=900):
             geom = BathGeometry(
                 ppm, x * rnn,
                 default_lateral_radius(ppm, x * rnn, 36), "lattice-site")
-            from .cce import simulate_observable
-            samples = simulate_observable(
-                geom, n_configs, None, None, seed, observable="t2star",
-                cell_index=d_i * len(COLLAPSE_X_GRID) + x_i)
-            stats_samples = np.asarray(samples)
-            finite = stats_samples[np.isfinite(stats_samples)]
+            samples = np.asarray(simulate_observable(
+                geom, n_configs, seed, d_i * len(COLLAPSE_X_GRID) + x_i))
+            finite = samples[np.isfinite(samples)]
             cv.append(float(np.std(finite) / np.mean(finite)))
         cv = np.array(cv)
         curves[ppm] = cv / cv[0]
@@ -387,7 +373,7 @@ def check_distribution_collapse(n_configs=1000, seed=900):
     ok = collapse_rms < 0.15 and plateau_flat and decreasing
     return ("distribution-collapse", ok,
             {"collapse_rms": round(collapse_rms, 4),
-             "mean_curve": [round(v, 3) for v in mean_curve],
+             "mean_curve": [round(float(v), 3) for v in mean_curve],
              "plateau_spread": round(float(np.ptp(plateau)), 3)})
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .bath import (BathConfiguration, BathGeometry, default_lateral_radius,
-                   generate_bath, mean_nn_distance_formula,
-                   nearest_neighbor_distance, slice_bath)
-from .cce import (STRONG_THRESHOLD, _couplings, partition_strong_weak,
-                  spawn_seed)
+                   mean_nn_distance_formula, nearest_neighbor_distance,
+                   slice_bath)
+from .cce import (STRONG_THRESHOLD, _configurations, _couplings,
+                  partition_strong_weak)
 from .constants import CentralSpinParams, DEFAULTS, ppm_to_number_density
 from .textio import LineReader
 
@@ -223,9 +223,7 @@ def yield_sweep(densities, thicknesses, n_configs, seed,
                                 rho, master_thickness, target_spins),
                             placement_mode=placement_mode)
         hits = np.zeros(len(thicknesses))
-        for c in range(n_configs):
-            ss = spawn_seed(seed, i, c)
-            master = generate_bath(geom, ss)
+        for _, master in _configurations(geom, n_configs, seed, i):
             for j, t in enumerate(thicknesses):
                 sl = slice_bath(master, float(t))
                 if len(sl) == 0:
@@ -270,9 +268,8 @@ def visibility_ratio_2d3d(density_ppm, thin_thickness, thick_thickness,
                             placement_mode="continuum-poisson")
         dens = rho * t if tag == "2D" else rho
         nus = []
-        for c in range(n_configs):
-            cfg = generate_bath(geom, spawn_seed(seed, cell, c),
-                                exclusion_radius=0.0)
+        for _, cfg in _configurations(geom, n_configs, seed, cell,
+                                      exclusion_radius=0.0):
             if len(cfg) < 2:
                 continue
             rnn = nearest_neighbor_distance(cfg)

@@ -311,6 +311,68 @@ def test_sweep_stats_footer(capsys):
     assert len(stat_lines) == 2
 
 
+def test_sweep_regenerates_from_its_file(tmp_path, capsys):
+    sweep_file = tmp_path / "sweep.txt"
+    code, _, _ = run_cli(capsys, "sweep", "--densities", "1:10:log3",
+                         "--thicknesses", "2,7.5", "--nconfigs", "6",
+                         "--seed", "4", "--target-spins", "20",
+                         "--placement", "continuum-poisson",
+                         "--out", str(sweep_file))
+    assert code == 0
+    from spinbath.fitting import read_sweep
+    with open(sweep_file) as fh:
+        grid = read_sweep(fh)
+    meta = grid.metadata
+    assert meta["observable"] == "t2star"
+    code, again, _ = run_cli(
+        capsys, "sweep",
+        "--densities", ",".join(repr(float(v)) for v in grid.densities),
+        "--thicknesses", ",".join(repr(float(v)) for v in grid.thicknesses),
+        "--nconfigs", str(meta["n_configs"]), "--seed", str(meta["seed"]),
+        "--target-spins", str(meta["target_spins"]),
+        "--placement", meta["placement_mode"])
+    assert code == 0
+    assert again == sweep_file.read_text()
+
+
+def test_sweep_writes_nothing_when_its_stats_fail(tmp_path, capsys):
+    out_file = tmp_path / "sweep.txt"
+    code, out, err = run_cli(capsys, "sweep", "--densities", "20",
+                             "--thicknesses", "10", "--nconfigs", "1",
+                             "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least 2 finite samples\n"
+    assert not out_file.exists()
+
+
+def test_sweep_refuses_the_observable_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--densities", "3", "--thicknesses", "5",
+              "--observable", "t2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --observable t2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--densities", "3", "--thicknesses", "5", "--nconfigs", "0"],
+    ["library", "--densities", "3", "--thicknesses", "5", "--nsamples", "0"],
+    ["yield", "--densities", "3", "--thicknesses", "2,50", "--nconfigs", "0"],
+    ["yield", "--densities", "3", "--thicknesses", "2,50", "--nconfigs", "0",
+     "--ratio"],
+    ["coherence", "--density", "20", "--thickness", "10", "--nconfigs", "0"],
+    ["coherence", "--density", "20", "--thickness", "10", "--nconfigs",
+     "-2"],
+])
+def test_monte_carlo_commands_refuse_no_configurations(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_mle_end_to_end(tmp_path, capsys):
     lib_file = tmp_path / "library.txt"
     code, _, _ = run_cli(capsys, "library", "--densities", "2,4,8,16",

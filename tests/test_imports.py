@@ -43,7 +43,7 @@ def test_import_loads_no_scipy(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["bath", "--density", "3", "--thickness", "10", "--seed", "1"],
     ["sweep", "--densities", "3,9", "--thicknesses", "5", "--nconfigs", "4",
-     "--observable", "t2star", "--seed", "2"],
+     "--seed", "2"],
     ["library", "--densities", "2,4", "--thicknesses", "4", "--nsamples",
      "5", "--seed", "4"],
     ["yield", "--densities", "3", "--thicknesses", "2,50", "--nconfigs",

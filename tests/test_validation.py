@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from spinbath import validation
 from spinbath.cce import CoherenceCurve
@@ -24,3 +25,12 @@ def test_stretched_exponent_counts_skipped_echoes(monkeypatch):
     assert res.details["skipped_50ppm"] == 1
     assert res.details["n_25ppm"] == 1.25
     assert res.passed
+
+
+@pytest.mark.parametrize("check, kwargs", [
+    (validation.check_mle_benchmark, {"samples_per_cell": 30}),
+    (validation.check_distribution_collapse, {"n_configs": 40}),
+])
+def test_check_details_print_as_plain_numbers(check, kwargs):
+    # a numpy scalar inside a list of details prints as np.float64(...)
+    assert "np." not in str(check(**kwargs))
