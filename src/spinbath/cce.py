@@ -24,7 +24,8 @@ Two Hamiltonian modes:
   MAX_FULL_CLUSTER_SPINS spins.  This mode runs on the calling thread.
 
 The order-1 Ramsey closed form (a product of cosines) lives here too,
-with the strong/weak partition that defines T2* = sqrt(2)/A_bath.
+with the strong/weak partition that defines T2* = sqrt(2)/A_bath.  The
+central spin is always the shipped NV centre, DEFAULTS.central.
 
 The expansion follows Yang & Liu, PRB 78, 085315 (2008); clusters of one
 size are treated as one batch, as in PyCCE (Onizhuk & Galli, Adv. Theory
@@ -38,7 +39,7 @@ import functools
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
@@ -124,6 +125,9 @@ class CCEConfig:
             raise ValueError("order must be >= 1")
         if self.n_bath_states < 1:
             raise ValueError("n_bath_states must be >= 1")
+        if not 0 < self.dipole_radius < np.inf:
+            raise ValueError(f"dipole_radius must be positive and finite, "
+                             f"got {self.dipole_radius!r}")
         if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
             raise ValueError("time_grid must be strictly increasing from 0")
         object.__setattr__(self, "time_grid", grid)
@@ -198,26 +202,24 @@ def _secular_dipolar(rel, r, axis):
     return CONSTANTS.dipolar_prefactor / r**3 * (1.0 - 3.0 * cosang**2)
 
 
-def _couplings(config: BathConfiguration, central=None):
+def _couplings(config: BathConfiguration):
     """A_z = (m1 - m0) A_zz (rad/ms) of every bath spin."""
-    central = central or DEFAULTS.central
     if len(config) == 0:
         return np.zeros(0)
     rel = config.positions - config.central_position
-    m0, m1 = central.qubit_levels
+    m0, m1 = DEFAULTS.central.qubit_levels
     return (m1 - m0) * _secular_dipolar(rel, np.linalg.norm(rel, axis=1),
-                                        central.quantization_axis)
+                                        DEFAULTS.central.quantization_axis)
 
 
-def partition_strong_weak(config: BathConfiguration,
-                          central=None) -> StrongWeakPartition:
+def partition_strong_weak(config: BathConfiguration) -> StrongWeakPartition:
     """Greedy selection of strongly coupled spins in descending |A_z|.
 
     A spin is strong when |A_z|/2 >= 2pi * A_bath(remaining)/sqrt(2), with
     A_bath^2 = sum of A_z^2/4 over the remaining (weak) spins.  A single
     remaining spin against an empty remainder is strong (A_bath = 0).
     """
-    az = _couplings(config, central)
+    az = _couplings(config)
     order = np.argsort(-np.abs(az), kind="stable")
     az_sorted = az[order]
     tail_sq = np.concatenate([np.cumsum((az_sorted**2)[::-1])[::-1], [0.0]])
@@ -232,12 +234,12 @@ def partition_strong_weak(config: BathConfiguration,
     return StrongWeakPartition(strong=strong, weak_dephasing=a_bath, t2_star=t2s)
 
 
-def ramsey_product_of_cosines(config: BathConfiguration, time_grid,
-                              central=None) -> CoherenceCurve:
+def ramsey_product_of_cosines(config: BathConfiguration,
+                              time_grid) -> CoherenceCurve:
     """Order-1 Ramsey closed form for a fully mixed spin-1/2 bath:
     L(t) = prod_j cos(A_z^j t / 2) over every bath spin."""
     t = np.asarray(time_grid, dtype=float)
-    az = _couplings(config, central)
+    az = _couplings(config)
     vals = np.prod(np.cos(az[:, None] * t[None, :] / 2.0), axis=0) \
         if len(az) else np.ones_like(t)
     return CoherenceCurve(times=t, values=vals.astype(complex),
@@ -277,7 +279,7 @@ def _adjacency(pos, radius):
     # the tree proposes pairs; the squared distance summed over x, y, z
     # against radius**2 decides, so rounding at the boundary is the same
     # as for a dense distance matrix
-    pairs = cKDTree(pos).query_pairs(abs(radius) * (1.0 + 1e-9),
+    pairs = cKDTree(pos).query_pairs(radius * (1.0 + 1e-9),
                                      output_type="ndarray")
     d2 = np.sum((pos[pairs[:, 0]] - pos[pairs[:, 1]]) ** 2, axis=-1)
     pairs = pairs[d2 <= radius**2]
@@ -400,8 +402,8 @@ def _check_full_cluster_size(k):
 
 def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
                          bath_state, time_grid, field: FieldConfig = None,
-                         central=None, p1: P1Params = None,
-                         central_position=None, extra_z_shifts=None):
+                         p1: P1Params = None, central_position=None,
+                         extra_z_shifts=None):
     """Exact unitary evolution of central spin + cluster, full Hamiltonian,
     in the rotating frame of the free central spin.
 
@@ -415,7 +417,7 @@ def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
     spins raise ValueError.
     """
     field = field or DEFAULTS.field
-    central = central or DEFAULTS.central
+    central = DEFAULTS.central
     p1 = p1 or DEFAULTS.p1("n15")
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     k = len(positions)
@@ -627,18 +629,23 @@ def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
                 w = a_s * p0.conj() * w
             out[s] = np.mean(np.sum(w, axis=-1), axis=-1)
 
-    # contiguous runs of chunks, one per worker, each writing its own rows
     starts = range(0, ncl, step)
     n = len(starts)
     workers = min(_WORKERS, n)
+    if workers == 1:
+        run(starts)
+        return out
+    # contiguous runs of chunks, one per worker, each writing its own rows.
+    # numpy's floating-point error state is a context variable, so each
+    # group runs in a copy of the caller's context.  Every group ends
+    # before the call does; then the first failed group's error is raised.
     groups = [starts[g * n // workers:(g + 1) * n // workers]
               for g in range(workers)]
-    # numpy's floating-point error state is a context variable, so each
-    # group runs in a copy of the caller's context
-    contexts = [contextvars.copy_context() for _ in groups]
-    mapper = _kernel_pool().map if workers > 1 else map
-    for _ in mapper(lambda ctx, g: ctx.run(run, g), contexts, groups):
-        pass  # consuming the results raises a worker's exception here
+    futures = [_kernel_pool().submit(contextvars.copy_context().run, run, g)
+               for g in groups]
+    wait(futures)
+    for f in futures:
+        f.result()
     return out
 
 
@@ -680,7 +687,7 @@ def _telescope(values, levels, subsets):
 
 def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                   sequence: PulseSequence, field: FieldConfig = None,
-                  seed=0, central=None, p1: P1Params = None) -> CoherenceCurve:
+                  seed=0, p1: P1Params = None) -> CoherenceCurve:
     """Bath-state-averaged CCE coherence function over cce.time_grid.
 
     In "sample" mode, n_bath_states random product states are drawn (with
@@ -701,7 +708,6 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
         raise ValueError(f"bath of {n} spins exceeds the CCE limit of "
                          f"{MAX_CCE_SPINS} spins")
     field = field or DEFAULTS.field
-    central = central or DEFAULTS.central
     p1 = p1 or DEFAULTS.p1("n15")
     t = cce.time_grid
     meta = {"mode": cce.mode, "bath_state_mode": cce.bath_state_mode,
@@ -718,7 +724,7 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     subsets = _subset_tables(levels, n, pad=len(clusters))
 
     rng = np.random.default_rng(as_seed_sequence(seed))
-    axis = central.quantization_axis
+    axis = DEFAULTS.central.quantization_axis
     projections = p1.nuclear_projections
 
     # per-spin secular couplings (state-independent)
@@ -777,7 +783,7 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                     sv = svals[sl]
                     eps_c = (eps + hmf)[sl] - np.einsum("cij,cj->ci", jc, sv)
                     H0, H1 = _secular_blocks(sl, eps_c, azz_raw, jzz,
-                                             central.qubit_levels)
+                                             DEFAULTS.central.qubit_levels)
                     l_raw[start + s0:start + s0 + len(sl)] = \
                         _secular_cluster_curves(H0, H1, state_bits, sl,
                                                 sequence, t, exact=exact)
@@ -788,7 +794,7 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                                                          len(c))[0])
                 l_raw[ci] = cluster_contribution(
                     pos[cl], [(ms[i], int(axes[i])) for i in c], sequence,
-                    bs, t, field=field, central=central, p1=p1,
+                    bs, t, field=field, p1=p1,
                     central_position=config.central_position,
                     extra_z_shifts=hmf[cl] - jzz[np.ix_(cl, cl)] @ svals[cl])
 
@@ -848,22 +854,21 @@ def _configurations(geometry, n_configs, seed, cell_index, n_spins=None,
 
 
 def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
-                       n_spins=None, p1=None, field=None) -> CoherenceCurve:
+                       p1=None, field=None) -> CoherenceCurve:
     """Ensemble-averaged |L(t)| over random bath configurations.
 
-    Each configuration is drawn from `geometry` (optionally truncated to
-    its n_spins nearest spins) and simulated with `cce`; the average of
-    |L| across configurations is returned, mirroring ensemble (many-NV)
-    measurements where each center sees its own static bath.  When any
-    configuration's curve warns, meta["warning"] gives how many did and
-    the first one's text.
+    Each configuration is drawn from `geometry` and simulated with `cce`;
+    the average of |L| across configurations is returned, mirroring
+    ensemble (many-NV) measurements where each center sees its own static
+    bath.  When any configuration's curve warns, meta["warning"] gives how
+    many did and the first one's text.
     """
     p1 = p1 or DEFAULTS.p1("n15")
     t = cce.time_grid
     acc = np.zeros(len(t))
     warned = []
     for ss, config in _configurations(
-            geometry, n_configs, seed, 0, n_spins,
+            geometry, n_configs, seed, 0,
             nuclear_projections=p1.nuclear_projections):
         curve = cce_coherence(config, cce, sequence, field=field,
                               seed=ss.spawn(1)[0], p1=p1)
@@ -874,8 +879,6 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
     meta = {"ensemble": n_configs, "seed": seed, "mode": cce.mode,
             "bath_state_mode": cce.bath_state_mode, "order": cce.order,
             "n_bath_states": cce.n_bath_states, "sequence": sequence.kind}
-    if n_spins is not None:
-        meta["n_spins"] = n_spins
     if warned:
         meta["warning"] = (f"{len(warned)} of {n_configs} configurations "
                            f"warned; first: {warned[0]}")

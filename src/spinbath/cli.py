@@ -33,7 +33,7 @@ from .yields import visibility_ratio_2d3d, write_yield_report, yield_sweep
 
 def parse_axis(spec, default_count=10):
     """Parse an axis spec: comma list, 'lo:hi' / 'lo:hi:log' (log-spaced,
-    10 points), 'lo:hi:logN' or 'lo:hi:linN' for N points."""
+    10 points), 'lo:hi:logN' or 'lo:hi:linN' for N >= 1 points."""
     spec = str(spec)
     if ":" in spec:
         parts = spec.split(":")
@@ -49,6 +49,8 @@ def parse_axis(spec, default_count=10):
                 count = int(tag[3:]) if len(tag) > 3 else default_count
             else:
                 raise ValueError(f"unknown axis scale in {spec!r}")
+        if count < 1:
+            raise ValueError(f"axis {spec!r} has fewer than one point")
         if scale == "log":
             return np.geomspace(lo, hi, count)
         return np.linspace(lo, hi, count)

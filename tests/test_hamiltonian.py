@@ -69,24 +69,25 @@ def test_dipolar_on_axis_value():
 
 
 def test_secular_azz_angular_dependence():
-    # cce._couplings is the one A_z routine: A_z = (m1 - m0) e3.T A e3
-    central = CentralSpinParams(
-        spin=1.0,
-        zero_field_splitting_D=DEFAULTS.central.zero_field_splitting_D,
-        quantization_axis=np.array([0.0, 0.0, 1.0]), qubit_levels=(0, -1))
-    pos = np.array([[0.0, 0.0, 2.0],
-                    2.0 * np.array([np.sin(0.9553166), 0, np.cos(0.9553166)]),
+    # cce._couplings is the one A_z routine: A_z = (m1 - m0) e3.T A e3,
+    # with e3 the shipped central spin's [111] quantization axis
+    assert DEFAULTS.central.qubit_levels == (0, -1)
+    e1, _, e3 = _frame(DEFAULTS.central.quantization_axis)
+    magic = np.arccos(1.0 / np.sqrt(3.0))
+    pos = np.array([2.0 * e3,
+                    2.0 * (np.sin(magic) * e1 + np.cos(magic) * e3),
                     [1.0, -2.0, 0.5]])
     bath = BathConfiguration(
         central_position=np.zeros(3), positions=pos, jt_axes=np.zeros(3, int),
         nuclear_m=np.full(3, 0.5),
         geometry=BathGeometry(3.0, 60.0, 60.0, "continuum-poisson"), seed=0)
-    on, magic, tilted = _couplings(bath, central)
-    assert abs(magic) < 1e-6 * abs(on)
+    on, at_magic, tilted = _couplings(bath)
+    assert abs(at_magic) < 1e-12 * abs(on)
     # qubit (0,-1): A_z = (m1-m0) Azz = -Azz; on-axis Azz < 0 so A_z > 0
     assert on == pytest.approx(2.0 * CONSTANTS.dipolar_prefactor / 8.0)
-    # the zz element of the full dipolar tensor along the axis
-    assert tilted == pytest.approx(-dipolar_tensor(pos[2])[2, 2], rel=1e-12)
+    # the full dipolar tensor projected on the axis
+    assert tilted == pytest.approx(-(e3 @ dipolar_tensor(pos[2]) @ e3),
+                                   rel=1e-12)
 
 
 def test_cluster_hamiltonian_hermitian_and_dimension():

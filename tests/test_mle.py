@@ -44,8 +44,13 @@ def synthetic_library(seed=0, n=400):
 # --- rate PDF -----------------------------------------------------------
 
 def test_pdf_normalization():
+    # the interpolated density of log10(rate) integrates to 1 over the
+    # support
     pdf = RatePDF(lognormal_rates(0.5, 0.3, 5000, seed=1))
-    assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
+    u = np.linspace(np.log10(pdf.support[0]), np.log10(pdf.support[1]),
+                    8 * len(pdf.log_centers) + 1)
+    integral = np.trapezoid(np.interp(u, pdf.log_centers, pdf.log_density), u)
+    assert integral == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pdf_matches_lognormal_shape():
@@ -112,11 +117,18 @@ def test_loglikelihood_doubles_with_duplicated_data():
 
 # --- refined-axis interpolation against the per-density loops ------------
 
-def reference_surface_rows(rates, library, i, refine_step):
+def refined_density_axis(densities):
+    """The grid's density range at about REFINE_STEP_PPM spacing, both
+    ends included."""
+    lo, hi = float(densities[0]), float(densities[-1])
+    n = max(2, int(round((hi - lo) / mle_module.REFINE_STEP_PPM)) + 1)
+    return np.linspace(lo, hi, n)
+
+
+def reference_surface_rows(rates, library, i):
     """One likelihood-surface row and its any-unfloored flag, one refined
     density at a time."""
-    dens_axis = mle_module._refined_density_axis(library.densities,
-                                                 refine_step)
+    dens_axis = refined_density_axis(library.densities)
     grid_d = np.asarray(library.densities, dtype=float)
     evals = np.stack([library.pdf(i, j)(rates) for j in range(len(grid_d))])
     raws = np.stack([library.pdf(i, j).raw(rates)
@@ -137,9 +149,8 @@ def reference_surface_rows(rates, library, i, refine_step):
     return row, any_unfloored
 
 
-def reference_argmax_density(rates, library, i, refine_step):
-    dens_axis = mle_module._refined_density_axis(library.densities,
-                                                 refine_step)
+def reference_argmax_density(rates, library, i):
+    dens_axis = refined_density_axis(library.densities)
     grid_d = np.asarray(library.densities, dtype=float)
     evals = np.stack([library.pdf(i, j)(rates) for j in range(len(grid_d))])
     best, best_ll = dens_axis[0], -np.inf
@@ -155,27 +166,32 @@ def reference_argmax_density(rates, library, i, refine_step):
     return float(best)
 
 
-def uneven_library():
-    lib = synthetic_library(seed=3, n=300)
-    return replace(lib, densities=np.array([1.0, 1.7, 4.0, 8.5]))
+# grid densities 1 + pitch * offsets: evenly spaced, or unevenly (the
+# original uneven grid 1, 1.7, 4, 8.5 at a pitch of 1 ppm)
+DENSITY_OFFSETS = {"even": np.arange(4.0), "uneven": np.array([0, 0.7, 3, 7.5])}
 
 
-@pytest.mark.parametrize("refine_step", [0.25, 0.1, 0.33, 3.0])
-@pytest.mark.parametrize("lib", [synthetic_library(), uneven_library()],
-                         ids=["even", "uneven"])
-def test_interpolation_matches_per_density_loops(lib, refine_step):
-    rng = np.random.default_rng(int(refine_step * 100))
+# REFINE_STEP_PPM (0.25) is above a 0.1 ppm pitch, equal to 0.25 and
+# below 0.33 and 3
+@pytest.mark.parametrize("pitch", [0.25, 0.1, 0.33, 3.0])
+@pytest.mark.parametrize("layout", ["even", "uneven"])
+def test_interpolation_matches_per_density_loops(layout, pitch):
+    lib = synthetic_library(seed=0 if layout == "even" else 3,
+                            n=400 if layout == "even" else 300)
+    lib = replace(lib, densities=1.0 + pitch * DENSITY_OFFSETS[layout])
+    rng = np.random.default_rng(int(pitch * 100))
     for trial in range(12):
         n = int(rng.integers(1, 400))
         rates = np.sort(lognormal_rates(rng.uniform(-0.5, 1.5), 0.3, n,
                                         seed=trial))
-        surf = likelihood_surface(rates, lib, refine_step=refine_step)
+        surf = likelihood_surface(rates, lib)
+        assert np.array_equal(surf.densities,
+                              refined_density_axis(lib.densities))
         for i in range(len(lib.thicknesses)):
-            row, unfloored = reference_surface_rows(rates, lib, i,
-                                                    refine_step)
+            row, unfloored = reference_surface_rows(rates, lib, i)
             assert np.array_equal(surf.log_likelihood[i], row)
-            assert mle_module._mle_argmax_density(rates, lib, i, refine_step) \
-                == reference_argmax_density(rates, lib, i, refine_step)
+            assert mle_module._mle_argmax_density(rates, lib, i) \
+                == reference_argmax_density(rates, lib, i)
 
 
 def test_pdf_cache_is_private():

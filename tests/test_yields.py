@@ -176,8 +176,7 @@ def test_crossover_on_synthetic_curve():
     report = YieldReport(
         densities=np.array([3.0]), thicknesses=t,
         yield_fraction=y[None, :], yield_stderr=np.zeros((1, len(t))),
-        mean_rnn=np.array([6.85]),
-        metadata={"target_spins": 300, "master_thickness": 50.0})
+        mean_rnn=np.array([6.85]))
     cross = report.crossover_thickness()
     # threshold y3d + 0.9 (plateau - y3d) crossed just past the plateau edge
     assert 4.0 < cross < 8.0
