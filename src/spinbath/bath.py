@@ -68,13 +68,12 @@ class BathGeometry:
 @dataclass(frozen=True, eq=False)
 class BathConfiguration:
     """One bath as three read-only arrays: spin k sits at positions[k]
-    (nm), with Jahn-Teller axis jt_axes[k] in 0..3 and nuclear projection
-    nuclear_m[k].  `seed` and `spawn_key` name the SeedSequence it was
+    (nm, with the central spin at the origin), with Jahn-Teller axis
+    jt_axes[k] in 0..3 and nuclear projection nuclear_m[k].  `seed` and `spawn_key` name the SeedSequence it was
     drawn from: SeedSequence(seed, spawn_key=spawn_key) regenerates it.
     Two configurations are equal when every field is (arrays element by
     element); the hash covers geometry, seed, spawn key and size."""
 
-    central_position: np.ndarray  # (3,) nm
     positions: np.ndarray  # (n, 3) nm
     jt_axes: np.ndarray  # (n,) int
     nuclear_m: np.ndarray  # (n,) float
@@ -84,23 +83,21 @@ class BathConfiguration:
 
     def __post_init__(self):
         # private copies, so that no caller can change a configuration
-        central = np.array(self.central_position, dtype=float)
         pos = np.array(self.positions, dtype=float)
         axes = np.array(self.jt_axes)
         ms = np.array(self.nuclear_m, dtype=float)
         n = len(pos) if pos.ndim else 0
-        if (central.shape != (3,) or pos.shape != (n, 3)
-                or axes.shape != (n,) or ms.shape != (n,)):
+        if pos.shape != (n, 3) or axes.shape != (n,) or ms.shape != (n,):
             raise ValueError(
                 f"bath positions, jt_axes and nuclear_m have shapes "
                 f"{pos.shape}, {axes.shape} and {ms.shape}, expected "
-                f"(n, 3), (n,) and (n,) with a central position of shape (3,)")
+                f"(n, 3), (n,) and (n,)")
         if n and (axes.dtype.kind not in "iu"
                   or axes.min() < 0 or axes.max() > 3):
             raise ValueError("bath Jahn-Teller axes must be integers in 0..3")
-        if not (np.isfinite(pos).all() and np.isfinite(central).all()):
+        if not np.isfinite(pos).all():
             raise ValueError("bath positions must be finite")
-        for name, arr in (("central_position", central), ("positions", pos),
+        for name, arr in (("positions", pos),
                           ("jt_axes", axes.astype(np.int64, copy=False)),
                           ("nuclear_m", ms)):
             arr.flags.writeable = False
@@ -195,17 +192,16 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
     axes = rng.integers(0, 4, len(pos))
     ms = rng.choice(np.asarray(nuclear_projections, dtype=float), size=len(pos))
     return BathConfiguration(
-        central_position=np.zeros(3), positions=pos, jt_axes=axes,
-        nuclear_m=ms, geometry=geometry, seed=int(ss.entropy),
-        spawn_key=ss.spawn_key,
+        positions=pos, jt_axes=axes, nuclear_m=ms, geometry=geometry,
+        seed=int(ss.entropy), spawn_key=ss.spawn_key,
     )
 
 
 def _select(config: BathConfiguration, index, geometry) -> BathConfiguration:
     """The spins of `config` picked by a boolean mask or an index array."""
-    return BathConfiguration(config.central_position, config.positions[index],
-                             config.jt_axes[index], config.nuclear_m[index],
-                             geometry, config.seed, config.spawn_key)
+    return BathConfiguration(config.positions[index], config.jt_axes[index],
+                             config.nuclear_m[index], geometry, config.seed,
+                             config.spawn_key)
 
 
 def slice_bath(config: BathConfiguration, new_thickness) -> BathConfiguration:
@@ -214,17 +210,16 @@ def slice_bath(config: BathConfiguration, new_thickness) -> BathConfiguration:
         raise ValueError("slice thickness must be positive")
     if new_thickness > config.geometry.thickness:
         raise ValueError("slice thickness exceeds bath thickness")
-    z0 = config.central_position[2]
-    keep = np.abs(config.positions[:, 2] - z0) <= new_thickness / 2.0
+    keep = np.abs(config.positions[:, 2]) <= new_thickness / 2.0
     return _select(config, keep, replace(config.geometry,
                                          thickness=float(new_thickness)))
 
 
 def keep_nearest(config: BathConfiguration, n: int) -> BathConfiguration:
-    """Retain the n bath spins closest to the central position."""
+    """Retain the n bath spins closest to the central spin."""
     if len(config) <= n:
         return config
-    d = np.linalg.norm(config.positions - config.central_position, axis=1)
+    d = np.linalg.norm(config.positions, axis=1)
     order = np.argsort(d, kind="stable")[:n]
     return _select(config, np.sort(order), config.geometry)
 
@@ -233,7 +228,7 @@ def nearest_neighbor_distance(config: BathConfiguration) -> float:
     """Distance from the central spin to its nearest bath spin (nm)."""
     if not len(config):
         raise ValueError("no bath spins")
-    d = np.linalg.norm(config.positions - config.central_position, axis=1)
+    d = np.linalg.norm(config.positions, axis=1)
     return float(d.min())
 
 
@@ -249,14 +244,14 @@ def mean_nn_distance_formula(density_ppm) -> float:
 
 def write_bath(config: BathConfiguration, fh):
     """Round-trip-lossless structured text record of one configuration.
-    The seed line holds the seed entropy, then the spawn key, if any."""
+    The seed line holds the seed entropy, then the spawn key, if any; the
+    `central` line is always the origin."""
     g = config.geometry
     fh.write("# spinbath bath-config v1\n")
     fh.write(" ".join(map(str, ("seed", config.seed, *config.spawn_key))) + "\n")
     fh.write(f"geometry {float(g.density_ppm)!r} {float(g.thickness)!r} "
              f"{float(g.lateral_radius)!r} {g.placement_mode}\n")
-    cx, cy, cz = (float(v) for v in config.central_position)
-    fh.write(f"central {cx!r} {cy!r} {cz!r}\n")
+    fh.write("central 0.0 0.0 0.0\n")
     fh.write(f"nspins {len(config)}\n")
     for (x, y, z), axis, m in zip(config.positions.tolist(),
                                   config.jt_axes.tolist(),
@@ -265,12 +260,15 @@ def write_bath(config: BathConfiguration, fh):
 
 
 def read_bath(fh) -> BathConfiguration:
-    """Inverse of write_bath.  A short file or a malformed line raises
-    ValueError naming the line."""
+    """Inverse of write_bath.  A `central` line off the origin is
+    subtracted from every spin position.  A short file or a malformed line
+    raises ValueError naming the line."""
     rd = LineReader(fh, "bath-config v1", "bath")
     ((seed, *spawn_key),) = rd.record("seed", [int])
     geom = BathGeometry(*rd.record("geometry", float, float, float, str))
     central = np.array(rd.record("central", float, float, float))
+    if not np.isfinite(central).all():
+        raise rd.error("central position must be finite")
     (nspins,) = rd.record("nspins", int)
     if nspins < 0:
         raise rd.error("negative spin count")
@@ -282,7 +280,7 @@ def read_bath(fh) -> BathConfiguration:
         rows.append(row)
     pos = np.array([r[:3] for r in rows], dtype=float).reshape(nspins, 3)
     return BathConfiguration(
-        central_position=central, positions=pos,
+        positions=pos - central,
         jt_axes=np.array([r[3] for r in rows], dtype=np.int64),
         nuclear_m=np.array([r[4] for r in rows], dtype=float),
         geometry=geom, seed=seed, spawn_key=tuple(spawn_key))

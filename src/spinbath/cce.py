@@ -25,7 +25,8 @@ Two Hamiltonian modes:
 
 The order-1 Ramsey closed form (a product of cosines) lives here too,
 with the strong/weak partition that defines T2* = sqrt(2)/A_bath.  The
-central spin is always the shipped NV centre, DEFAULTS.central.
+central spin is always the shipped NV centre, DEFAULTS.central, at the
+origin of the bath's positions.
 
 The expansion follows Yang & Liu, PRB 78, 085315 (2008); clusters of one
 size are treated as one batch, as in PyCCE (Onizhuk & Galli, Adv. Theory
@@ -128,8 +129,10 @@ class CCEConfig:
         if not 0 < self.dipole_radius < np.inf:
             raise ValueError(f"dipole_radius must be positive and finite, "
                              f"got {self.dipole_radius!r}")
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
-            raise ValueError("time_grid must be strictly increasing from 0")
+        if grid.ndim != 1 or not grid.size or np.any(np.diff(grid) <= 0) \
+                or grid[0] < 0:
+            raise ValueError("time_grid must be non-empty and strictly "
+                             "increasing from 0")
         object.__setattr__(self, "time_grid", grid)
         if self.mode not in ("secular", "full"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -206,9 +209,9 @@ def _couplings(config: BathConfiguration):
     """A_z = (m1 - m0) A_zz (rad/ms) of every bath spin."""
     if len(config) == 0:
         return np.zeros(0)
-    rel = config.positions - config.central_position
+    pos = config.positions
     m0, m1 = DEFAULTS.central.qubit_levels
-    return (m1 - m0) * _secular_dipolar(rel, np.linalg.norm(rel, axis=1),
+    return (m1 - m0) * _secular_dipolar(pos, np.linalg.norm(pos, axis=1),
                                         DEFAULTS.central.quantization_axis)
 
 
@@ -400,17 +403,18 @@ def _check_full_cluster_size(k):
                          f"of {MAX_FULL_CLUSTER_SPINS} spins")
 
 
-def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
+def cluster_contribution(positions, z_fields, sequence: PulseSequence,
                          bath_state, time_grid, field: FieldConfig = None,
-                         p1: P1Params = None, central_position=None,
                          extra_z_shifts=None):
     """Exact unitary evolution of central spin + cluster, full Hamiltonian,
     in the rotating frame of the free central spin.
 
-    bath_state: integer basis index of the bath product state (bit b of the
-    index = 0 for m=+1/2 of cluster spin b), or None for the thermal
-    average over all 2^k product basis states (fully mixed bath), which
-    are evolved as one batch.
+    positions and z_fields are the members' rows of the bath arrays (see
+    build_cluster_hamiltonian).  bath_state: one bit per member (0 for
+    m=+1/2) of the bath product state, or None for the thermal average
+    over all 2^k product basis states (fully mixed bath), which are
+    evolved as one batch.  extra_z_shifts: a static z field on each
+    member, added to the Hamiltonian's diagonal.
     Every bath state and time point goes through one batched pass per
     free-evolution segment.  Returns complex L(t) over time_grid,
     normalized so L(0) = 1.  Clusters of more than MAX_FULL_CLUSTER_SPINS
@@ -418,18 +422,14 @@ def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
     """
     field = field or DEFAULTS.field
     central = DEFAULTS.central
-    p1 = p1 or DEFAULTS.p1("n15")
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     k = len(positions)
     _check_full_cluster_size(k)
     nb = 2**k
-    hmat = build_cluster_hamiltonian(positions, central, field, p1,
-                                     nuclear_assignment,
-                                     central_position=central_position)
+    hmat = build_cluster_hamiltonian(positions, central, field, z_fields)
+    # bits of every bath basis state: spin i is bit (k-1-i) of its index
+    bits = (np.arange(nb)[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1
     if extra_z_shifts is not None:
-        # static z field from out-of-cluster bath spins on each member;
-        # in the kron layout spin i occupies bit (k-1-i) of the bath index
-        bits = ((np.arange(nb)[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1)
         diag = (0.5 - bits) @ np.asarray(extra_z_shifts, dtype=float)
         hmat = hmat + np.kron(np.eye(3), np.diag(diag)).astype(complex)
     evals, evecs = np.linalg.eigh(hmat)
@@ -437,12 +437,7 @@ def cluster_contribution(positions, nuclear_assignment, sequence: PulseSequence,
     if bath_state is None:
         bath = np.eye(nb, dtype=complex)
     else:
-        # public convention: bit i of bath_state is spin i (0 = m=+1/2);
-        # convert to the kron layout where spin i is bit (k-1-i)
-        idx = sum(((int(bath_state) >> i) & 1) << (k - 1 - i)
-                  for i in range(k))
-        bath = np.zeros((nb, 1), dtype=complex)
-        bath[idx] = 1.0
+        bath = (bits == bath_state).all(axis=1)[:, None].astype(complex)
     m0, m1 = central.qubit_levels
     i0, i1 = SPIN1_M_ORDER.index(m0), SPIN1_M_ORDER.index(m1)
     psi0 = np.zeros((3, nb, bath.shape[1]), dtype=complex)
@@ -690,14 +685,15 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                   seed=0, p1: P1Params = None) -> CoherenceCurve:
     """Bath-state-averaged CCE coherence function over cce.time_grid.
 
-    In "sample" mode, n_bath_states random product states are drawn (with
-    per-state random nuclear m and Jahn-Teller axis unless frozen_nuclear);
-    the CCE product of irreducible contributions is formed per state and
-    averaged.  In "exact" mode each cluster contribution is averaged over
-    the fully mixed bath state (thermal trace: the mean over all 2^k basis
-    states of the cluster) with the configuration's frozen nuclear
-    assignment.  Baths of more than MAX_CCE_SPINS spins
-    raise ValueError, and so do full-mode clusters that could exceed
+    Unless frozen_nuclear, each bath state draws every spin's nuclear m
+    and Jahn-Teller axis from `seed`; with it, they are the
+    configuration's nuclear_m and jt_axes.  In "sample" mode,
+    n_bath_states random product states are drawn; the CCE product of
+    irreducible contributions is formed per state and averaged.  In
+    "exact" mode each cluster contribution is averaged over the fully
+    mixed bath state (thermal trace: the mean over all 2^k basis states of
+    the cluster), for one nuclear draw.  Baths of more than MAX_CCE_SPINS
+    spins raise ValueError, and so do full-mode clusters that could exceed
     MAX_FULL_CLUSTER_SPINS spins and a diverging expansion: irreducible
     factors that overflow leave non-finite values in the product.  A
     finite |L| above DIVERGENCE_MODULUS, or more than 1% of floored
@@ -725,30 +721,16 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
 
     rng = np.random.default_rng(as_seed_sequence(seed))
     axis = DEFAULTS.central.quantization_axis
-    projections = p1.nuclear_projections
 
     # per-spin secular couplings (state-independent)
     pos = config.positions
-    rel = pos - config.central_position
-    azz_raw = _secular_dipolar(rel, np.linalg.norm(rel, axis=1), axis)
+    azz_raw = _secular_dipolar(pos, np.linalg.norm(pos, axis=1), axis)
     jzz = np.zeros((n, n))
     if n >= 2:
         rel = pos[:, None, :] - pos[None, :, :]
         r = np.linalg.norm(rel, axis=-1)
         np.fill_diagonal(r, np.inf)
         jzz = _secular_dipolar(rel, r, axis)
-
-    def nuclear_draw():
-        if cce.frozen_nuclear:
-            ms, axes = config.nuclear_m, config.jt_axes
-        else:
-            ms = rng.choice(np.asarray(projections), size=n)
-            axes = rng.integers(0, 4, n)
-        return ms, axes
-
-    def eps_of(ms, axes):
-        shifts = np.array([p1.hyperfine_shift(ms[i], axes[i]) for i in range(n)])
-        return shifts - CONSTANTS.gamma_e * field.B_z
 
     exact = cce.bath_state_mode == "exact"
     n_states = 1 if exact else cce.n_bath_states
@@ -758,8 +740,13 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
     l_raw = np.ones((len(clusters) + 1, len(t)), dtype=complex)
 
     for _ in range(n_states):
-        ms, axes = nuclear_draw()
-        eps = eps_of(ms, axes)
+        if cce.frozen_nuclear:
+            ms, axes = config.nuclear_m, config.jt_axes
+        else:
+            ms = rng.choice(np.asarray(p1.nuclear_projections), size=n)
+            axes = rng.integers(0, 4, n)
+        # the P_z coefficient of each spin: hyperfine shift and Zeeman term
+        eps = p1.hyperfine_shift(ms, axes) - CONSTANTS.gamma_e * field.B_z
         state_bits = None
         if not exact:
             state_bits = rng.integers(0, 2, n)
@@ -788,15 +775,13 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                         _secular_cluster_curves(H0, H1, state_bits, sl,
                                                 sequence, t, exact=exact)
         else:
-            for ci, c in enumerate(clusters):
-                cl = np.array(c)
-                bs = None if exact else int(_state_index(state_bits, cl[None],
-                                                         len(c))[0])
-                l_raw[ci] = cluster_contribution(
-                    pos[cl], [(ms[i], int(axes[i])) for i in c], sequence,
-                    bs, t, field=field, p1=p1,
-                    central_position=config.central_position,
-                    extra_z_shifts=hmf[cl] - jzz[np.ix_(cl, cl)] @ svals[cl])
+            for start, sets in levels:
+                for ci, cl in enumerate(sets, start):
+                    mf = hmf[cl] - jzz[np.ix_(cl, cl)] @ svals[cl]
+                    l_raw[ci] = cluster_contribution(
+                        pos[cl], eps[cl], sequence,
+                        None if exact else state_bits[cl], t, field=field,
+                        extra_z_shifts=mf)
 
         floored += _telescope(l_raw, levels, subsets)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -122,10 +122,13 @@ class P1Params:
         return tuple(np.arange(-I, I + 1e-9, 1.0))
 
     def hyperfine_shift(self, m, axis_index):
-        """a(m, axis) in rad/ms (first-order effective field on the electron)."""
-        cb = float(np.dot(JT_AXES[axis_index], self.quantization_axis))
-        a_eff = self.A_par * cb**2 + self.A_perp * (1.0 - cb**2)
-        return m * a_eff
+        """a(m, axis) in rad/ms (first-order effective field on the
+        electron), elementwise over arrays of m and axis indices."""
+        a_eff = []
+        for axis in JT_AXES:
+            cb = float(np.dot(axis, self.quantization_axis))
+            a_eff.append(self.A_par * cb**2 + self.A_perp * (1.0 - cb**2))
+        return m * np.array(a_eff)[axis_index]
 
 
 @dataclass(frozen=True)

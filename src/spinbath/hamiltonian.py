@@ -1,9 +1,11 @@
 """Dipolar couplings and cluster Hamiltonian assembly.
 
-The central spin is an NV (S=1) quantized along its [111] axis; bath spins
+The central spin is an NV (S=1) at the origin, quantized along its [111]
+axis; bath spins
 are P1 electrons (S=1/2) whose nitrogen nuclear state enters only as a
-static hyperfine shift a(m, axis).  Everything is assembled in the frame
-whose z axis is the central quantization axis.
+static hyperfine shift a(m, axis), part of each spin's z field.
+Everything is assembled in the frame whose z axis is the central
+quantization axis.
 
 Cluster Hamiltonians live in the product basis of the Kronecker layout:
 the central m_s (ordered +1, 0, -1) is the most significant digit of a
@@ -126,37 +128,30 @@ def _term_table(n):
 
 
 def build_cluster_hamiltonian(positions, central: CentralSpinParams,
-                              field: FieldConfig, p1: P1Params,
-                              nuclear_assignment, central_position=None):
+                              field: FieldConfig, z_fields):
     """Assemble the full central-spin + cluster Hamiltonian (rad/ms) as a
     dense Hermitian (3 * 2^n, 3 * 2^n) matrix.
 
-    positions: (n, 3) bath-spin positions (nm); nuclear_assignment: list of
-    (nuclear m, JT axis index) per bath spin.  Central spin at
-    central_position (default origin).  Hilbert space (2S+1) * 2^n in the
-    quantization frame; nuclear spins enter only through a(m, axis).
+    positions: (n, 3) bath-spin positions (nm) relative to the central
+    spin at the origin; z_fields: (n,) P_z coefficient of each bath spin,
+    its hyperfine shift a(m, axis) minus gamma_e B.  Hilbert space
+    (2S+1) * 2^n in the quantization frame.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     n = len(positions)
-    if len(nuclear_assignment) != n:
-        raise ValueError("nuclear_assignment must cover every cluster member")
-    if central_position is None:
-        central_position = np.zeros(3)
-    central_position = np.asarray(central_position, dtype=float)
+    if len(z_fields) != n:
+        raise ValueError("z_fields must cover every cluster member")
 
     R = _frame(central.quantization_axis)
-    gamma = CONSTANTS.gamma_e
-    B = field.B_z
     dim = 3 << n
 
     # one coefficient per term of _term_table(n), in its order
     coefs = np.zeros(2 + 10 * n + 9 * (n * (n - 1) // 2))
     # central spin: -gamma_e B Sz + D Sz^2
-    coefs[:2] = -gamma * B, central.zero_field_splitting_D
+    coefs[:2] = -CONSTANTS.gamma_e * field.B_z, central.zero_field_splitting_D
+    coefs[2:2 + 10 * n:10] = z_fields
     for i in range(n):
-        m_i, axis_i = nuclear_assignment[i]
-        coefs[2 + 10 * i] = p1.hyperfine_shift(m_i, axis_i) - gamma * B
-        A = dipolar_tensor(positions[i] - central_position)
+        A = dipolar_tensor(positions[i])
         coefs[3 + 10 * i:12 + 10 * i] = (R @ A @ R.T).ravel()
     k = 2 + 10 * n
     for i in range(n):

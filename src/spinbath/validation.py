@@ -73,16 +73,20 @@ def check_cce1_equivalence(n_baths=100, seed=101):
 
 # --- 2: dense-propagation oracle ---------------------------------------
 
-def dense_echo_reference(config, time_grid, nuclear_ms, jt_axes, state_bits):
+def dense_echo_reference(config, time_grid, state_bits):
     """Hahn-echo coherence by direct dense propagation of the full
     central-spin + bath Hilbert space (no cluster expansion), for the
-    shipped central spin and field and a nitrogen-15 bath."""
+    shipped central spin and field, a nitrogen-15 bath with the
+    configuration's nuclear_m and jt_axes, and the product state with one
+    bit per spin in state_bits (0 for m=+1/2)."""
     central = DEFAULTS.central
-    pos = config.positions
-    n = len(pos)
-    assign = [(nuclear_ms[i], int(jt_axes[i])) for i in range(n)]
+    field = DEFAULTS.field
+    n = len(config)
+    z_fields = (DEFAULTS.p1("n15").hyperfine_shift(config.nuclear_m,
+                                                   config.jt_axes)
+                - DEFAULTS.constants.gamma_e * field.B_z)
     evals, evecs = np.linalg.eigh(build_cluster_hamiltonian(
-        pos, central, DEFAULTS.field, DEFAULTS.p1("n15"), assign))
+        config.positions, central, field, z_fields))
     nb = 2**n
     m0, m1 = central.qubit_levels
     i0, i1 = SPIN1_M_ORDER.index(m0), SPIN1_M_ORDER.index(m1)
@@ -122,14 +126,13 @@ def check_exact_propagation(n_baths=20, seed=2000, n_states=4):
                             default_lateral_radius(5.0, 30.0, 12),
                             "continuum-poisson")
         cfg = keep_nearest(generate_bath(geom, seed + s, exclusion_radius=3.0), 6)
-        ms, axes = cfg.nuclear_m, cfg.jt_axes
         # reference averaged over the same sampled product states the
         # CCE engine will draw from this seed
         rng = np.random.default_rng(as_seed_sequence(seed + 77 + s))
         ref = np.zeros(len(t), complex)
         for _ in range(n_states):
             bits = rng.integers(0, 2, len(cfg))
-            ref += dense_echo_reference(cfg, t, ms, axes, bits)
+            ref += dense_echo_reference(cfg, t, bits)
         ref /= n_states
         res = {}
         for order in (2, 4, 6):

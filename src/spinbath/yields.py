@@ -134,8 +134,7 @@ def visibility(config: BathConfiguration) -> VisibilitySample:
     if len(config) < 2:
         raise ValueError("visibility undefined: need >= 2 bath spins")
     az = _couplings(config)
-    d = np.linalg.norm(config.positions - config.central_position, axis=1)
-    k = int(np.argmin(d))
+    k = int(np.argmin(np.linalg.norm(config.positions, axis=1)))
     a0 = float(az[k])
     rest = np.delete(az, k)
     a_bath = float(np.sqrt(np.sum(rest**2) / 4.0))

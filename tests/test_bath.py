@@ -20,6 +20,7 @@ from spinbath.bath import (
     slice_bath,
     write_bath,
 )
+from spinbath.cce import HAHN_ECHO, CCEConfig, cce_coherence
 from spinbath.constants import CONSTANTS, ppm_to_number_density
 
 
@@ -53,8 +54,8 @@ def test_configuration_equality_and_hash():
     assert a != keep_nearest(a, len(a) - 1)
     moved = a.positions.copy()
     moved[0, 0] += 1e-9
-    shifted = BathConfiguration(a.central_position, moved, a.jt_axes,
-                                a.nuclear_m, a.geometry, a.seed)
+    shifted = BathConfiguration(moved, a.jt_axes, a.nuclear_m, a.geometry,
+                                a.seed)
     assert a != shifted and hash(a) == hash(shifted)
     assert a != "not a bath"
 
@@ -176,6 +177,7 @@ def test_read_bath_truncated(cut):
     ("seed", "seed\n"),
     ("geometry", "geometry 20.0 6.0\n"),
     ("central", "central 0.0 zero 0.0\n"),
+    ("central", "central 0.0 nan 0.0\n"),
     ("nspins", "nspins -1\n"),
     ("nspins", "count 6\n"),
     ("spin", "spin 1.0 2.0 3.0 7 0.5\n"),
@@ -289,18 +291,17 @@ def test_arrays_match_per_spin_reference(mode, kwargs):
         assert_same_spins(cfg, spins)
         for t in (0.5, 3.0, 12.0):
             assert_same_spins(slice_bath(cfg, t), reference_slice_bath(
-                spins, cfg.central_position, t))
+                spins, np.zeros(3), t))
         for n in (0, 1, 7, len(spins)):
             assert_same_spins(keep_nearest(cfg, n), reference_keep_nearest(
-                spins, cfg.central_position, n))
+                spins, np.zeros(3), n))
 
 
 def test_slice_boundary_matches_per_spin_reference():
     z = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
     positions = np.stack([np.ones(6), np.zeros(6), z], axis=1)
-    cfg = BathConfiguration(np.zeros(3), positions, np.arange(6) % 4,
-                            np.full(6, 0.5), BathGeometry(1.0, 4.0, 2.0),
-                            seed=0)
+    cfg = BathConfiguration(positions, np.arange(6) % 4, np.full(6, 0.5),
+                            BathGeometry(1.0, 4.0, 2.0), seed=0)
     spins = tuple(ReferenceSpin(p, int(a), float(m)) for p, a, m in
                   zip(cfg.positions, cfg.jt_axes, cfg.nuclear_m))
     for t in (1.0, 2.0):
@@ -312,13 +313,11 @@ def test_slice_boundary_matches_per_spin_reference():
 
 def test_arrays_are_read_only_copies():
     positions = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    cfg = BathConfiguration(np.zeros(3), positions, np.array([0, 3]),
-                            np.array([0.5, -0.5]), BathGeometry(1.0, 1.0, 1.0),
-                            seed=0)
+    cfg = BathConfiguration(positions, np.array([0, 3]), np.array([0.5, -0.5]),
+                            BathGeometry(1.0, 1.0, 1.0), seed=0)
     positions[0, 0] = 9.0
     assert cfg.positions[0, 0] == 1.0
-    for arr in (cfg.positions, cfg.jt_axes, cfg.nuclear_m,
-                cfg.central_position):
+    for arr in (cfg.positions, cfg.jt_axes, cfg.nuclear_m):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     for derived in (slice_bath(cfg, 0.5), keep_nearest(cfg, 1),
@@ -339,12 +338,12 @@ def test_arrays_are_read_only_copies():
 ])
 def test_configuration_rejects_bad_arrays(positions, axes, ms, match):
     with pytest.raises(ValueError, match=match):
-        BathConfiguration(np.zeros(3), positions, axes, ms,
-                          BathGeometry(1.0, 1.0, 1.0), seed=0)
+        BathConfiguration(positions, axes, ms, BathGeometry(1.0, 1.0, 1.0),
+                          seed=0)
 
 
 def test_empty_configuration():
-    cfg = BathConfiguration(np.zeros(3), np.zeros((0, 3)), [], [],
+    cfg = BathConfiguration(np.zeros((0, 3)), [], [],
                             BathGeometry(1.0, 1.0, 1.0), seed=0)
     assert len(cfg) == 0 and cfg.jt_axes.dtype == np.int64
 
@@ -386,3 +385,40 @@ def test_numpy_typed_geometry_round_trips():
         f"geometry 3.0 5.5 {default_lateral_radius(3.0, 5.5)!r} lattice-site"
     assert back == cfg
     assert _round_trip(back)[0] == text
+
+
+def test_off_origin_central_line_translates_the_spins():
+    # a file may place the central spin off the origin; reading it moves
+    # the central spin to the origin and every bath spin with it
+    text = _bath_text()
+    cfg = read_bath(io.StringIO(text))
+    centre = np.array([0.25, -0.5, 0.125])
+    lines = []
+    for line in text.splitlines(keepends=True):
+        tok = line.split()
+        if tok[0] == "central":
+            line = "central {!r} {!r} {!r}\n".format(*centre.tolist())
+        elif tok[0] == "spin":
+            p = [float(v) for v in tok[1:4]] + centre
+            line = "spin {!r} {!r} {!r} {} {}\n".format(*p.tolist(), *tok[4:])
+        lines.append(line)
+    moved_text = "".join(lines)
+    moved = read_bath(io.StringIO(moved_text))
+    spins = np.array([[float(v) for v in ln.split()[1:4]] for ln in lines
+                      if ln.startswith("spin ")])
+    assert np.array_equal(moved.positions, spins - centre)
+    assert np.allclose(moved.positions, cfg.positions, rtol=0, atol=1e-12)
+    # the same bath written with the translated positions and a centre at
+    # the origin reads back the same and gives the same coherence
+    buf = io.StringIO()
+    write_bath(moved, buf)
+    assert "central 0.0 0.0 0.0\n" in buf.getvalue()
+    translated = read_bath(io.StringIO(buf.getvalue()))
+    assert translated == moved
+    grid = np.linspace(0.0, 0.02, 6)
+    for mode in ("secular", "full"):
+        cce = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=2,
+                        time_grid=grid, mode=mode)
+        assert np.array_equal(
+            cce_coherence(moved, cce, HAHN_ECHO, seed=3).values,
+            cce_coherence(translated, cce, HAHN_ECHO, seed=3).values)

@@ -2,7 +2,7 @@ import io
 import multiprocessing
 import threading
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -48,6 +48,13 @@ def small_bath(seed=0, n=4, ppm=20.0, excl=2.0):
     geom = BathGeometry(ppm, 25.0, default_lateral_radius(ppm, 25.0, 12),
                         "continuum-poisson")
     return keep_nearest(generate_bath(geom, seed, exclusion_radius=excl), n)
+
+
+def z_fields(cfg):
+    """The P_z coefficients of a nitrogen-15 bath's spins at the shipped
+    field, from its nuclear_m and jt_axes."""
+    return (DEFAULTS.p1("n15").hyperfine_shift(cfg.nuclear_m, cfg.jt_axes)
+            - CONSTANTS.gamma_e * DEFAULTS.field.B_z)
 
 
 # --- pulse sequences ----------------------------------------------------
@@ -163,8 +170,7 @@ def test_clusters_match_brute_force(seed, quantile):
 def line_bath(n, spacing=1.0):
     positions = np.zeros((n, 3))
     positions[:, 0] = spacing * (np.arange(n) + 1)
-    return BathConfiguration(central_position=np.zeros(3), positions=positions,
-                             jt_axes=np.zeros(n, int),
+    return BathConfiguration(positions=positions, jt_axes=np.zeros(n, int),
                              nuclear_m=np.full(n, 0.5),
                              geometry=BathGeometry(1.0, 1.0, 1.0), seed=0)
 
@@ -562,10 +568,9 @@ def test_max_order_cce_matches_dense_reference():
     t = np.linspace(0.0, 0.1, 20)
     for seed in (3, 4):
         cfg = small_bath(seed=seed, n=4)
-        ms, axes = cfg.nuclear_m, cfg.jt_axes
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, len(cfg))
-        ref = dense_echo_reference(cfg, t, ms, axes, bits)
+        ref = dense_echo_reference(cfg, t, bits)
         # same sampled state via the engine's internal draw
         cce = CCEConfig(order=len(cfg), dipole_radius=1e9, n_bath_states=1,
                         time_grid=t, mode="full", bath_state_mode="sample",
@@ -573,47 +578,38 @@ def test_max_order_cce_matches_dense_reference():
         curve = cce_coherence(cfg, cce, HAHN_ECHO, seed=seed)
         # the engine draws its own state; compare instead via the full
         # cluster contribution with the explicit state
-        state = 0
-        for i in range(len(cfg)):
-            state |= int(bits[i]) << i
-        assign = [(ms[i], int(axes[i])) for i in range(len(cfg))]
-        direct = cluster_contribution(cfg.positions, assign, HAHN_ECHO,
-                                      state, t)
+        direct = cluster_contribution(cfg.positions, z_fields(cfg), HAHN_ECHO,
+                                      bits, t)
         assert np.max(np.abs(direct - ref)) < 1e-10
         assert np.max(np.abs(curve.values)) <= 1.0 + 1e-9
 
 
 def test_thermal_contribution_equals_state_average():
     cfg = small_bath(seed=5, n=3)
-    ms, axes = cfg.nuclear_m, cfg.jt_axes
-    assign = [(ms[i], int(axes[i])) for i in range(len(cfg))]
     t = np.linspace(0.0, 0.05, 15)
-    thermal = cluster_contribution(cfg.positions, assign, HAHN_ECHO, None, t)
+    thermal = cluster_contribution(cfg.positions, z_fields(cfg), HAHN_ECHO,
+                                   None, t)
     acc = np.zeros(len(t), complex)
-    for state in range(2 ** len(cfg)):
-        acc += cluster_contribution(cfg.positions, assign, HAHN_ECHO,
-                                    state, t)
+    for bits in product((0, 1), repeat=len(cfg)):
+        acc += cluster_contribution(cfg.positions, z_fields(cfg), HAHN_ECHO,
+                                    np.array(bits), t)
     acc /= 2 ** len(cfg)
     assert np.max(np.abs(thermal - acc)) < 1e-12
 
 
 # --- full-mode propagator against the per-time-point loops ---------------
 
-def reference_cluster_contribution(positions, nuclear_assignment, sequence,
-                                   bath_state, time_grid, field=None, p1=None,
-                                   central_position=None, rotating_frame=True,
+def reference_cluster_contribution(positions, z_fields, sequence, bath_state,
+                                   time_grid, field=None, rotating_frame=True,
                                    extra_z_shifts=None):
     """Full-mode cluster evolution one time point at a time, with separate
     thermal and pure-state branches and the pi pulse as a matrix."""
     field = field or DEFAULTS.field
     central = DEFAULTS.central
-    p1 = p1 or DEFAULTS.p1("n15")
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     k = len(positions)
     nb = 2**k
-    hmat = build_cluster_hamiltonian(positions, central, field, p1,
-                                     nuclear_assignment,
-                                     central_position=central_position)
+    hmat = build_cluster_hamiltonian(positions, central, field, z_fields)
     if extra_z_shifts is not None:
         bits = ((np.arange(nb)[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1)
         diag = (0.5 - bits) @ np.asarray(extra_z_shifts, dtype=float)
@@ -653,10 +649,9 @@ def reference_cluster_contribution(positions, nuclear_assignment, sequence,
                 sign = -sign
             out = out * np.exp(1j * (e_free[m0] - e_free[m1]) * phase_time)
         return out
-    s = int(bath_state)
     idx = 0
     for i in range(k):
-        idx |= ((s >> i) & 1) << (k - 1 - i)
+        idx |= int(bath_state[i]) << (k - 1 - i)
     bvec = np.zeros(nb, dtype=complex)
     bvec[idx] = 1.0
     psi0 = np.zeros(3 * nb, dtype=complex)
@@ -699,16 +694,16 @@ PROPAGATOR_TOL = 1e-12
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_propagator_matches_reference(sequence, k):
     cfg = small_bath(seed=k, n=k)
-    assign = list(zip(cfg.nuclear_m.tolist(), cfg.jt_axes.tolist()))
     rng = np.random.default_rng(k)
     shifts = rng.normal(size=k) * 300.0
     t = np.linspace(0.0, 0.05, 30)
-    for state in (None, 0, 2**k - 1):
+    mixed = np.arange(k) % 2
+    for state in (None, np.zeros(k, int), np.ones(k, int), mixed):
         for extra in (None, shifts):
-            new = cluster_contribution(cfg.positions, assign, sequence, state,
-                                       t, extra_z_shifts=extra)
+            new = cluster_contribution(cfg.positions, z_fields(cfg), sequence,
+                                       state, t, extra_z_shifts=extra)
             ref = reference_cluster_contribution(
-                cfg.positions, assign, sequence, state, t,
+                cfg.positions, z_fields(cfg), sequence, state, t,
                 extra_z_shifts=extra)
             assert np.max(np.abs(new - ref)) <= PROPAGATOR_TOL
 
@@ -720,10 +715,9 @@ def test_propagator_across_time_chunks(sequence):
     per_chunk = cce_module._PROPAGATOR_CHUNK // (3 * 4**k)
     t = np.linspace(0.0, 0.05, per_chunk + 7)
     cfg = small_bath(seed=8, n=k)
-    assign = list(zip(cfg.nuclear_m.tolist(), cfg.jt_axes.tolist()))
-    new = cluster_contribution(cfg.positions, assign, sequence, None, t)
-    ref = reference_cluster_contribution(cfg.positions, assign, sequence,
-                                         None, t)
+    new = cluster_contribution(cfg.positions, z_fields(cfg), sequence, None, t)
+    ref = reference_cluster_contribution(cfg.positions, z_fields(cfg),
+                                         sequence, None, t)
     assert np.max(np.abs(new - ref)) <= PROPAGATOR_TOL
 
 
@@ -756,9 +750,8 @@ def test_full_cluster_size_guard(monkeypatch):
     k = MAX_FULL_CLUSTER_SPINS + 1
     cfg = line_bath(k)
     monkeypatch.setattr(cce_module, "build_cluster_hamiltonian", never)
-    assign = [(0.5, 0)] * k
     with pytest.raises(ValueError, match=f"limit of {MAX_FULL_CLUSTER_SPINS}"):
-        cluster_contribution(cfg.positions, assign, HAHN_ECHO, None,
+        cluster_contribution(cfg.positions, z_fields(cfg), HAHN_ECHO, None,
                              np.linspace(0.0, 0.01, 5))
     monkeypatch.setattr(cce_module, "enumerate_clusters", never)
     cce = CCEConfig(order=12, dipole_radius=1e9, n_bath_states=1,
@@ -772,6 +765,23 @@ def test_oracle_check_in_fast_gate():
     # (check seed 16, the first from 16 whose bath holds 6 spins), 2 states
     check = check_exact_propagation(n_baths=1, seed=16, n_states=2)
     assert check.details["max_cce6_error"] < 1e-8
+
+
+@pytest.mark.parametrize("mode", ["secular", "full"])
+def test_exact_mode_draws_nuclear_states_from_the_seed(mode):
+    # the thermal trace covers the electron states only; nuclear m and
+    # Jahn-Teller axes come from the seed unless frozen_nuclear
+    cfg = small_bath(seed=3, n=4)
+    t = np.linspace(0.0, 0.05, 10)
+
+    def values(seed, frozen):
+        cce = CCEConfig(order=2, dipole_radius=1e9, n_bath_states=1,
+                        time_grid=t, mode=mode, bath_state_mode="exact",
+                        frozen_nuclear=frozen)
+        return cce_coherence(cfg, cce, HAHN_ECHO, seed=seed).values
+
+    assert not np.array_equal(values(1, False), values(2, False))
+    assert np.array_equal(values(1, True), values(2, True))
 
 
 def test_secular_full_agreement_weak_coupling():
@@ -832,7 +842,7 @@ def partition_baths():
     yield line_bath(0)
     yield keep_nearest(small_bath(seed=7, n=4), 1)
     # each spin 8x more strongly coupled than the next: all strong
-    yield BathConfiguration(np.zeros(3), [[0.0, 0.0, 2.0**k] for k in range(5)],
+    yield BathConfiguration([[0.0, 0.0, 2.0**k] for k in range(5)],
                             np.zeros(5, int), np.full(5, 0.5),
                             BathGeometry(1.0, 1.0, 1.0), seed=0)
     # yield_sweep's 3 ppm master slabs, sliced as in check 7

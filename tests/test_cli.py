@@ -389,6 +389,17 @@ def test_axis_of_no_points_is_refused(tmp_path, capsys, argv):
     assert not out_file.exists()
 
 
+def test_coherence_refuses_an_empty_time_grid(capsys):
+    # --npoints -1 makes a linear grid of no points
+    code, out, err = run_cli(capsys, "coherence", "--density", "20",
+                             "--thickness", "5", "--target-spins", "5",
+                             "--npoints", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: time_grid must be non-empty and strictly "
+                   "increasing from 0\n")
+
+
 @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
 def test_coherence_refuses_a_bad_dipole_radius(capsys, radius):
     code, out, err = run_cli(capsys, "coherence", "--density", "20",

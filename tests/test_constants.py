@@ -65,6 +65,25 @@ def test_hyperfine_shift_axis_dependence():
     assert abs(off_axis) < abs(on_axis)
 
 
+def reference_hyperfine_shift(p1, m, axis_index):
+    """The one-spin expression that the per-axis table is built from."""
+    cb = float(np.dot(JT_AXES[axis_index], p1.quantization_axis))
+    return m * (p1.A_par * cb**2 + p1.A_perp * (1.0 - cb**2))
+
+
+@pytest.mark.parametrize("isotope", ["n14", "n15"])
+def test_hyperfine_shift_arrays_match_scalar_calls(isotope):
+    p1 = DEFAULTS.p1(isotope)
+    pairs = [(m, k) for m in p1.nuclear_projections for k in range(4)]
+    ms = np.array([m for m, _ in pairs])
+    axes = np.array([k for _, k in pairs])
+    shifts = p1.hyperfine_shift(ms, axes)
+    scalar = np.array([p1.hyperfine_shift(m, k) for m, k in pairs])
+    ref = np.array([reference_hyperfine_shift(p1, m, k) for m, k in pairs])
+    assert shifts.shape == (len(pairs),)
+    assert shifts.tobytes() == scalar.tobytes() == ref.tobytes()
+
+
 def test_field_config_units():
     f = FieldConfig(B_z=311.0)
     assert f.B_z == 311.0

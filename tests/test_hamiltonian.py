@@ -78,8 +78,7 @@ def test_secular_azz_angular_dependence():
                     2.0 * (np.sin(magic) * e1 + np.cos(magic) * e3),
                     [1.0, -2.0, 0.5]])
     bath = BathConfiguration(
-        central_position=np.zeros(3), positions=pos, jt_axes=np.zeros(3, int),
-        nuclear_m=np.full(3, 0.5),
+        positions=pos, jt_axes=np.zeros(3, int), nuclear_m=np.full(3, 0.5),
         geometry=BathGeometry(3.0, 60.0, 60.0, "continuum-poisson"), seed=0)
     on, at_magic, tilted = _couplings(bath)
     assert abs(at_magic) < 1e-12 * abs(on)
@@ -93,21 +92,16 @@ def test_secular_azz_angular_dependence():
 def test_cluster_hamiltonian_hermitian_and_dimension():
     pos = np.array([[1.0, 0.0, 2.0], [0.0, 2.0, -1.0]])
     ham = build_cluster_hamiltonian(
-        pos, DEFAULTS.central, DEFAULTS.field, DEFAULTS.p1("n15"),
-        [(0.5, 0), (-0.5, 2)])
+        pos, DEFAULTS.central, DEFAULTS.field, np.array([-3.0e5, 2.5e5]))
     assert ham.shape == (12, 12)
     assert np.allclose(ham, ham.conj().T)
 
 
-def _reference_hamiltonian(positions, central, field, p1, nuclear_assignment,
-                           central_position=None):
+def _reference_hamiltonian(positions, central, field, z_fields):
     """The original assembly: every term a dense product of Kronecker-
     embedded operators, added to H in turn."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     n = len(positions)
-    if central_position is None:
-        central_position = np.zeros(3)
-    central_position = np.asarray(central_position, dtype=float)
     R = _frame(central.quantization_axis)
     gamma = CONSTANTS.gamma_e
     B = field.B_z
@@ -126,10 +120,8 @@ def _reference_hamiltonian(positions, central, field, p1, nuclear_assignment,
     H = np.zeros((dim, dim), dtype=complex)
     H += -gamma * B * Sc[2] + central.zero_field_splitting_D * (Sc[2] @ Sc[2])
     for i in range(n):
-        m_i, axis_i = nuclear_assignment[i]
-        shift = p1.hyperfine_shift(m_i, axis_i)
-        H += (shift - gamma * B) * Pb[i][2]
-        A = dipolar_tensor(positions[i] - central_position)
+        H += z_fields[i] * Pb[i][2]
+        A = dipolar_tensor(positions[i])
         A = R @ A @ R.T
         for a in range(3):
             for b in range(3):
@@ -146,13 +138,18 @@ def _reference_hamiltonian(positions, central, field, p1, nuclear_assignment,
     return H
 
 
-def _assignments(isotope, n):
-    """Cluster assignments that together give every (nuclear m, JT axis)
-    choice of the isotope to some spin."""
+def _z_fields(isotope, n):
+    """Per-cluster z fields (hyperfine shift minus gamma_e B) that together
+    give every (nuclear m, JT axis) choice of the isotope to some spin."""
     p1 = DEFAULTS.p1(isotope)
     choices = [(m, k) for m in p1.nuclear_projections for k in range(4)]
-    return p1, [[choices[(start + i) % len(choices)] for i in range(n)]
-                for start in range(0, len(choices), n)]
+    fields = []
+    for start in range(0, len(choices), n):
+        ms, axes = zip(*(choices[(start + i) % len(choices)]
+                         for i in range(n)))
+        fields.append(p1.hyperfine_shift(np.array(ms), np.array(axes))
+                      - CONSTANTS.gamma_e * DEFAULTS.field.B_z)
+    return fields
 
 
 TILTED_CENTRAL = CentralSpinParams(
@@ -167,17 +164,16 @@ TILTED_CENTRAL = CentralSpinParams(
 def test_cluster_hamiltonian_matches_embedded_products(n, isotope):
     rng = np.random.default_rng(100 * n + len(isotope))
     pos = rng.uniform(-4.0, 4.0, (n, 3))
-    p1, assignments = _assignments(isotope, n)
-    for k, assign in enumerate(assignments):
-        kwargs = {}
-        central = DEFAULTS.central
+    for k, z_fields in enumerate(_z_fields(isotope, n)):
+        central, members = DEFAULTS.central, pos
         if k % 2:
+            # a tilted central spin away from the old origin
             central = TILTED_CENTRAL
-            kwargs["central_position"] = rng.uniform(-1.0, 1.0, 3)
-        ham = build_cluster_hamiltonian(pos, central, DEFAULTS.field, p1,
-                                        assign, **kwargs)
-        ref = _reference_hamiltonian(pos, central, DEFAULTS.field, p1,
-                                     assign, **kwargs)
+            members = pos - rng.uniform(-1.0, 1.0, 3)
+        ham = build_cluster_hamiltonian(members, central, DEFAULTS.field,
+                                        z_fields)
+        ref = _reference_hamiltonian(members, central, DEFAULTS.field,
+                                     z_fields)
         assert ham.shape == (3 * 2**n, 3 * 2**n)
         assert np.array_equal(ham, ref)
 

@@ -28,8 +28,7 @@ def bath_from_positions(positions, thickness=60.0, radius=60.0, ppm=3.0):
     geom = BathGeometry(ppm, thickness, radius, "continuum-poisson")
     positions = np.asarray(positions, float)
     n = len(positions)
-    return BathConfiguration(central_position=np.zeros(3), positions=positions,
-                             jt_axes=np.zeros(n, int),
+    return BathConfiguration(positions=positions, jt_axes=np.zeros(n, int),
                              nuclear_m=np.full(n, 0.5), geometry=geom, seed=0)
 
 
