@@ -42,7 +42,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -198,21 +198,89 @@ class StrongWeakPartition:
     t2_star: float  # ms, +inf when the weak set is empty
 
 
-def _secular_dipolar(rel, r, axis):
-    """zz part along `axis` of the dipolar coupling (rad/ms) between spins
-    at displacements rel (..., 3) nm of length r."""
-    cosang = (rel @ axis) / r
+def _secular_dipolar(along, r):
+    """zz part of the dipolar coupling (rad/ms) between spins a distance r
+    nm apart whose displacement has the component `along` (nm) on the
+    quantization axis."""
+    cosang = along / r
     return CONSTANTS.dipolar_prefactor / r**3 * (1.0 - 3.0 * cosang**2)
 
 
 def _couplings(config: BathConfiguration):
     """A_z = (m1 - m0) A_zz (rad/ms) of every bath spin."""
-    if len(config) == 0:
-        return np.zeros(0)
     pos = config.positions
+    return _coupling_values(pos, pos @ DEFAULTS.central.quantization_axis)
+
+
+def _block_couplings(positions):
+    """A_z of every spin of a block of baths, given as a list of (n, 3)
+    position arrays, concatenated in order.
+
+    Each bath's projection on the quantization axis is its own
+    matrix-vector product, as BLAS may round a row differently by its
+    place in a larger product; the rest is elementwise, so a bath's
+    values do not depend on the block it is in.
+    """
+    axis = DEFAULTS.central.quantization_axis
+    return _coupling_values(np.concatenate(positions),
+                            np.concatenate([p @ axis for p in positions]))
+
+
+def _coupling_values(pos, along):
+    """A_z (rad/ms) of spins at positions pos (n, 3) nm whose components
+    on the quantization axis are `along`."""
     m0, m1 = DEFAULTS.central.qubit_levels
-    return (m1 - m0) * _secular_dipolar(pos, np.linalg.norm(pos, axis=1),
-                                        DEFAULTS.central.quantization_axis)
+    # the sum that np.linalg.norm(pos, axis=1) takes, without its dispatch
+    r = np.sqrt(np.add.reduce(pos * pos, axis=1))
+    return (m1 - m0) * _secular_dipolar(along, r)
+
+
+# Baths partitioned in one array pass by simulate_observable.
+_PARTITION_BLOCK = 128
+
+
+def _block_partitions(positions):
+    """Strong/weak partitions of a block of baths, given as a list of
+    (n, 3) position arrays; see _partition_rows."""
+    n = np.array([len(p) for p in positions])
+    # one row per bath, padded at its end with A_z = 0
+    az = np.zeros((len(n), n.max(initial=0)))
+    az[np.arange(az.shape[1]) < n[:, None]] = _block_couplings(positions)
+    return _partition_rows(az, n)
+
+
+def _partition_rows(az, n):
+    """Strong/weak partitions of baths whose A_z (rad/ms) are the rows of
+    az, each padded at its end with zeros, n holding their spin counts
+    (see partition_strong_weak).  Returns the rows of four arrays: the
+    spin indices in descending |A_z| (a stable sort, so ties keep their
+    bath order) and their A_z, both padded; the number k of strong spins;
+    and A_bath (rad/ms).
+    """
+    rows = np.arange(len(az))
+    # the pads sort after every spin, as -|A_z| <= 0 and equal keys keep
+    # their order
+    order = np.argsort(-np.abs(az), axis=1, kind="stable")
+    az_sorted = az[rows[:, None], order]
+    # tail_sq[b, i]: sum of A_z^2 from spin i of bath b on, summed from the
+    # smallest |A_z| up; the zeros that pad a row add nothing
+    tail_sq = np.zeros((len(az), az.shape[1] + 1))
+    np.cumsum((az_sorted**2)[:, ::-1], axis=1, out=tail_sq[:, -2::-1])
+    # spin i is strong against the spins after it (padding always is); the
+    # greedy selection stops at the first spin that is not, and the False
+    # column past the end stops a bath whose spins are all strong
+    strong = np.zeros(tail_sq.shape, dtype=bool)
+    np.greater_equal(np.abs(az_sorted) / 2.0, STRONG_THRESHOLD *
+                     np.sqrt(tail_sq[:, 1:] / 4.0) / np.sqrt(2.0),
+                     out=strong[:, :-1])
+    k = np.minimum(strong.argmin(axis=1), n)
+    a_bath = np.sqrt(tail_sq[rows, k] / 4.0)
+    return order, az_sorted, k, a_bath
+
+
+def _t2_star(a_bath):
+    """T2* = sqrt(2)/A_bath (ms) of a float A_bath, +inf when it is 0."""
+    return float(np.sqrt(2.0) / a_bath) if a_bath > 0 else np.inf
 
 
 def partition_strong_weak(config: BathConfiguration) -> StrongWeakPartition:
@@ -223,18 +291,11 @@ def partition_strong_weak(config: BathConfiguration) -> StrongWeakPartition:
     remaining spin against an empty remainder is strong (A_bath = 0).
     """
     az = _couplings(config)
-    order = np.argsort(-np.abs(az), kind="stable")
-    az_sorted = az[order]
-    tail_sq = np.concatenate([np.cumsum((az_sorted**2)[::-1])[::-1], [0.0]])
-    # spin k is strong against the spins after it; the greedy selection
-    # stops at the first spin that is not
-    strong_k = np.abs(az_sorted) / 2.0 >= \
-        STRONG_THRESHOLD * np.sqrt(tail_sq[1:] / 4.0) / np.sqrt(2.0)
-    k = len(az_sorted) if strong_k.all() else int(np.argmin(strong_k))
-    strong = tuple(zip(order[:k].tolist(), az_sorted[:k].tolist()))
-    a_bath = float(np.sqrt(tail_sq[k] / 4.0))
-    t2s = float(np.sqrt(2.0) / a_bath) if a_bath > 0 else np.inf
-    return StrongWeakPartition(strong=strong, weak_dephasing=a_bath, t2_star=t2s)
+    order, az_sorted, k, a_bath = _partition_rows(az[None], len(az))
+    k, a_bath = int(k[0]), float(a_bath[0])
+    strong = tuple(zip(order[0, :k].tolist(), az_sorted[0, :k].tolist()))
+    return StrongWeakPartition(strong=strong, weak_dephasing=a_bath,
+                               t2_star=_t2_star(a_bath))
 
 
 def ramsey_product_of_cosines(config: BathConfiguration,
@@ -724,13 +785,13 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
 
     # per-spin secular couplings (state-independent)
     pos = config.positions
-    azz_raw = _secular_dipolar(pos, np.linalg.norm(pos, axis=1), axis)
+    azz_raw = _secular_dipolar(pos @ axis, np.linalg.norm(pos, axis=1))
     jzz = np.zeros((n, n))
     if n >= 2:
         rel = pos[:, None, :] - pos[None, :, :]
         r = np.linalg.norm(rel, axis=-1)
         np.fill_diagonal(r, np.inf)
-        jzz = _secular_dipolar(rel, r, axis)
+        jzz = _secular_dipolar(rel @ axis, r)
 
     exact = cce.bath_state_mode == "exact"
     n_states = 1 if exact else cce.n_bath_states
@@ -873,7 +934,10 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
 def simulate_observable(geometry, n_configs, seed, cell_index):
     """T2* (ms) of each of n_configs random baths of `geometry`, by the
     analytic order-1 strong/weak partition (Ramsey); a bath with no weak
-    spins gives inf."""
-    return [partition_strong_weak(config).t2_star
-            for _, config in _configurations(geometry, n_configs, seed,
-                                             cell_index)]
+    spins gives inf.  The baths are partitioned _PARTITION_BLOCK at a
+    time."""
+    configs = _configurations(geometry, n_configs, seed, cell_index)
+    t2 = []
+    while block := [c.positions for _, c in islice(configs, _PARTITION_BLOCK)]:
+        t2 += [_t2_star(a) for a in _block_partitions(block)[3].tolist()]
+    return t2

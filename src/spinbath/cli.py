@@ -115,6 +115,8 @@ def cmd_bath(args):
 
 
 def _time_grid(args):
+    if args.npoints < 1:
+        raise ValueError(f"--npoints must be at least 1, got {args.npoints}")
     if args.log_grid:
         return np.concatenate([[0.0], np.geomspace(args.tmax * 3e-4,
                                                    args.tmax, args.npoints)])

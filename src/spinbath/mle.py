@@ -191,9 +191,27 @@ def _interpolation(densities):
 
 
 def _mix(values, j, w):
-    """One row (1-w) values[j] + w values[j+1] per refined density, from
-    per-grid-density rows of values."""
-    return (1.0 - w)[:, None] * values[j] + w[:, None] * values[j + 1]
+    """One row (1-w) values[..., j, :] + w values[..., j+1, :] per refined
+    density, from per-grid-density rows of values (second-last axis)."""
+    return (1.0 - w)[:, None] * values[..., j, :] + \
+        w[:, None] * values[..., j + 1, :]
+
+
+# Mixture elements evaluated at once by _log_likelihoods (16 MB).
+_LIKELIHOOD_CHUNK = 2**21
+
+
+def _log_likelihoods(rates, library, i_thickness):
+    """Log-likelihood of each row of a (sets, N) array of rates at
+    thickness i_thickness, over the refined density axis: one row per
+    set.  Every element is the same expression as for a lone set."""
+    _, j, w = _interpolation(library.densities)
+    pdfs = [library.pdf(i_thickness, c) for c in range(len(library.densities))]
+    rows = max(1, _LIKELIHOOD_CHUNK // (len(j) * rates.shape[1]))
+    return np.concatenate([
+        np.log(_mix(np.stack([pdf(part) for pdf in pdfs], axis=-2),
+                    j, w)).sum(-1)
+        for part in np.split(rates, range(rows, len(rates), rows))])
 
 
 def likelihood_surface(measured_rates,
@@ -218,11 +236,9 @@ def likelihood_surface(measured_rates,
     ll = np.empty((nt, len(dens_axis)))
     any_unfloored = False
     for i in range(nt):
-        evals = np.stack([library.pdf(i, c)(rates)
-                          for c in range(nd)])  # (nd, n_meas)
+        ll[i] = _log_likelihoods(rates[None], library, i)[0]
         raws = np.stack([library.pdf(i, c).raw(rates) for c in range(nd)])
         any_unfloored |= bool(np.any(_mix(raws, j, w) > 0))
-        ll[i] = np.log(_mix(evals, j, w)).sum(-1)
     if not any_unfloored:
         raise ValueError("data outside library support: "
                          "every cell evaluation hit the probability floor")
@@ -271,15 +287,6 @@ def estimate_density(surface: LikelihoodSurface,
                            fixed_thickness=float(surface.thicknesses[i]))
 
 
-def _mle_argmax_density(rates, library, i_thickness):
-    """Refined-axis argmax of the fixed-thickness likelihood linecut
-    (the first of equal maxima)."""
-    dens_axis, j, w = _interpolation(library.densities)
-    evals = np.stack([library.pdf(i_thickness, c)(rates)
-                      for c in range(len(library.densities))])
-    return float(dens_axis[np.argmax(np.log(_mix(evals, j, w)).sum(-1))])
-
-
 def benchmark_error(library: CoherenceLibrary, sample_counts, trials,
                     fixed_thickness, seed) -> ErrorBenchmark:
     """Self-consistency benchmark of the density estimator.
@@ -290,15 +297,27 @@ def benchmark_error(library: CoherenceLibrary, sample_counts, trials,
     from the cell samples and the squared relative error
     eps^2 = (rho_mle - rho0)^2 / rho0^2 is averaged.  The reported
     per-N relative error is sqrt(<eps^2>); the power law A * N^-p is
-    fitted to <eps^2>(N) in log-log coordinates.
+    fitted to <eps^2>(N) in log-log coordinates.  The sample counts must
+    be integers >= 1, at least two of them distinct, and trials an integer
+    >= 100; anything else raises ValueError naming it.
     """
+    for n in sample_counts:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+                or n < 1:
+            raise ValueError(f"sample counts must be integers >= 1, got {n}")
+    sample_counts = np.asarray(sample_counts, dtype=int)
+    if len(set(sample_counts.tolist())) < 2:
+        raise ValueError("need at least two distinct sample counts for the "
+                         f"power-law fit, got {sample_counts.tolist()}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials}")
     if trials < 100:
         raise ValueError("need >= 100 trials for stable means")
-    sample_counts = np.asarray(sample_counts, dtype=int)
     i = int(np.argmin(np.abs(library.thicknesses - fixed_thickness)))
     grid_d = np.asarray(library.densities, dtype=float)
     if len(grid_d) < 4:
         raise ValueError("need >= 4 grid densities (interior test range)")
+    dens_axis = _interpolation(grid_d)[0]
     tested = list(range(1, len(grid_d) - 1))
     mean_sq = np.empty(len(sample_counts))
     for a, n in enumerate(sample_counts):
@@ -306,10 +325,12 @@ def benchmark_error(library: CoherenceLibrary, sample_counts, trials,
         for jt, j in enumerate(tested):
             cell = library.cells[(i, j)]
             rng = np.random.default_rng(spawn_seed(seed, a, jt))
-            for _ in range(trials):
-                rates = rng.choice(cell, size=int(n), replace=True)
-                rho = _mle_argmax_density(rates, library, i)
-                eps_sq.append((rho - grid_d[j]) ** 2 / grid_d[j] ** 2)
+            rates = np.stack([rng.choice(cell, size=int(n), replace=True)
+                              for _ in range(trials)])
+            # the first of equal maxima of each trial's linecut
+            best = np.argmax(_log_likelihoods(rates, library, i), axis=1)
+            eps_sq += [(rho - grid_d[j]) ** 2 / grid_d[j] ** 2
+                       for rho in dens_axis[best]]
         mean_sq[a] = np.mean(eps_sq)
     logn = np.log(sample_counts.astype(float))
     loge = np.log(mean_sq)

@@ -866,6 +866,47 @@ def test_partition_matches_greedy_loop():
                              (False, True)}
 
 
+def block_row(block, b):
+    """Row b of cce._block_partitions' output as a StrongWeakPartition."""
+    order, az_sorted, k, a_bath = block
+    k = int(k[b])
+    return StrongWeakPartition(
+        strong=tuple((int(order[b, i]), float(az_sorted[b, i]))
+                     for i in range(k)),
+        weak_dephasing=float(a_bath[b]),
+        t2_star=cce_module._t2_star(float(a_bath[b])))
+
+
+def test_block_partitions_match_greedy_loop():
+    baths = list(partition_baths())
+    expect = [reference_partition_strong_weak(cfg) for cfg in baths]
+    every = np.arange(len(baths))
+    cuts = np.cumsum(np.random.default_rng(0).integers(1, 21, len(baths)))
+    # all baths in one block (the empty bath first), in reverse, and in
+    # random blocks of 1 to 20; test_partition_matches_greedy_loop takes
+    # them one at a time
+    for groups in ([every], [every[::-1]],
+                   np.split(every, cuts[cuts < len(baths)])):
+        for group in groups:
+            block = cce_module._block_partitions(
+                [baths[b].positions for b in group])
+            for row, b in enumerate(group):
+                assert block_row(block, row) == expect[b]
+
+
+def test_simulate_observable_matches_per_configuration_loop():
+    # about 4 spins a bath: empty, lone-spin and all-strong baths give inf
+    geom = BathGeometry(8.0, 3.0, default_lateral_radius(8.0, 3.0, 4),
+                        "continuum-poisson")
+    n = 2 * cce_module._PARTITION_BLOCK + 3
+    got = cce_module.simulate_observable(geom, n, 4, 2)
+    expect = [reference_partition_strong_weak(cfg).t2_star
+              for _, cfg in cce_module._configurations(geom, n, 4, 2)]
+    assert len(got) == n and all(type(v) is float for v in got)
+    assert np.array_equal(got, expect)
+    assert np.isinf(got).any() and np.isfinite(got).any()
+
+
 def test_empty_bath_coherence_is_unity():
     geom = BathGeometry(0.001, 2.0, 2.0, "continuum-poisson")
     cfg = generate_bath(geom, 1)

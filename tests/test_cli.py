@@ -396,8 +396,19 @@ def test_coherence_refuses_an_empty_time_grid(capsys):
                              "--npoints", "-1")
     assert code == 1
     assert out == ""
-    assert err == ("error: time_grid must be non-empty and strictly "
-                   "increasing from 0\n")
+    assert err == "error: --npoints must be at least 1, got -1\n"
+
+
+@pytest.mark.parametrize("npoints,grid", [("0", []), ("-7", []),
+                                          ("0", ["--log-grid"]),
+                                          ("-7", ["--log-grid"])])
+def test_coherence_refuses_fewer_than_one_point(capsys, npoints, grid):
+    code, out, err = run_cli(capsys, "coherence", "--density", "20",
+                             "--thickness", "5", "--target-spins", "5",
+                             "--npoints", npoints, *grid)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --npoints must be at least 1, got {npoints}\n"
 
 
 @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])

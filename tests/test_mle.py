@@ -190,8 +190,27 @@ def test_interpolation_matches_per_density_loops(layout, pitch):
         for i in range(len(lib.thicknesses)):
             row, unfloored = reference_surface_rows(rates, lib, i)
             assert np.array_equal(surf.log_likelihood[i], row)
-            assert mle_module._mle_argmax_density(rates, lib, i) \
+            ll = mle_module._log_likelihoods(rates[None], lib, i)[0]
+            assert surf.densities[np.argmax(ll)] \
                 == reference_argmax_density(rates, lib, i)
+
+
+@pytest.mark.parametrize("chunk", ["default", "small"])
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+def test_log_likelihoods_match_per_trial_loop(monkeypatch, n, chunk):
+    lib = synthetic_library(seed=2, n=300)
+    rng = np.random.default_rng(n)
+    # rates of the tested cell, and of no cell (the floor engages)
+    rates = rng.choice(np.concatenate([lib.cells[(1, 2)], [1e-3, 1e3]]),
+                       size=(57, n))
+    if chunk == "small":  # 3 rows a pass, 19 passes
+        n_refined = len(refined_density_axis(lib.densities))
+        monkeypatch.setattr(mle_module, "_LIKELIHOOD_CHUNK",
+                            3 * n_refined * n)
+    got = mle_module._log_likelihoods(rates, lib, 1)
+    assert got.shape == (57, len(refined_density_axis(lib.densities)))
+    for row, trial in zip(got, rates):
+        assert np.array_equal(row, reference_surface_rows(trial, lib, 1)[0])
 
 
 def test_pdf_cache_is_private():
@@ -244,6 +263,49 @@ def test_benchmark_requires_enough_trials():
     lib = synthetic_library()
     with pytest.raises(ValueError):
         benchmark_error(lib, [2, 4], trials=10, fixed_thickness=4.0, seed=0)
+
+
+def reference_benchmark_mean_sq(library, sample_counts, trials, i, seed):
+    """benchmark_error's <eps^2> per N, one bootstrap trial at a time."""
+    grid_d = np.asarray(library.densities, dtype=float)
+    mean_sq = []
+    for a, n in enumerate(sample_counts):
+        eps_sq = []
+        for jt, j in enumerate(range(1, len(grid_d) - 1)):
+            rng = np.random.default_rng(mle_module.spawn_seed(seed, a, jt))
+            for _ in range(trials):
+                rates = rng.choice(library.cells[(i, j)], size=n,
+                                   replace=True)
+                rho = reference_argmax_density(rates, library, i)
+                eps_sq.append((rho - grid_d[j]) ** 2 / grid_d[j] ** 2)
+        mean_sq.append(np.mean(eps_sq))
+    return mean_sq
+
+
+def test_benchmark_error_matches_per_trial_loop():
+    lib = synthetic_library(seed=4, n=200)
+    bm = benchmark_error(lib, [1, 3], trials=100, fixed_thickness=4.0,
+                         seed=5)
+    assert np.array_equal(bm.mean_squared_error,
+                          reference_benchmark_mean_sq(lib, [1, 3], 100, 1, 5))
+
+
+@pytest.mark.parametrize("counts,trials,message", [
+    ([0, 2], 100, "sample counts must be integers >= 1, got 0"),
+    ([2, -3], 100, "sample counts must be integers >= 1, got -3"),
+    ([2.7, 8], 100, "sample counts must be integers >= 1, got 2.7"),
+    ([2, True], 100, "sample counts must be integers >= 1, got True"),
+    ([2, 2], 100, "need at least two distinct sample counts for the "
+                  "power-law fit, got [2, 2]"),
+    ([4], 100, "need at least two distinct sample counts for the "
+               "power-law fit, got [4]"),
+    ([2, 8], 150.5, "trials must be an integer, got 150.5"),
+])
+def test_benchmark_refuses_bad_counts(counts, trials, message):
+    lib = synthetic_library(n=50)
+    with pytest.raises(ValueError) as info:
+        benchmark_error(lib, counts, trials, fixed_thickness=4.0, seed=0)
+    assert str(info.value) == message
 
 
 # --- construction and serialization ------------------------------------

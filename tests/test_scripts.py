@@ -67,6 +67,11 @@ def test_run_echo_exponent(capsys):
      "need >= 100 trials for stable means"),
     ("run_yield_sweep", ["--nconfigs", "2", "--thicknesses", "-1"],
      "slice thickness must be positive"),
+    ("run_mle_benchmark", ["--nsamples", "10", "--counts", "0", "2"],
+     "sample counts must be integers >= 1, got 0"),
+    ("run_mle_benchmark", ["--nsamples", "10", "--counts", "2", "2"],
+     "need at least two distinct sample counts for the power-law fit, "
+     "got [2, 2]"),
 ])
 def test_script_reports_error(capsys, name, argv, message):
     assert load_script(name).main(argv) == 1
