@@ -32,7 +32,7 @@ from .cce import (
 from .fitting import distribution_stats, fit_stretched_exponential, run_sweep
 from .mle import build_library, estimate_density, likelihood_surface
 from .validation import run_validation
-from .yields import visibility, yield_sweep
+from .yields import yield_sweep
 
 __all__ = [
     "CONSTANTS", "DEFAULTS", "CentralSpinParams", "FieldConfig", "P1Params",
@@ -42,6 +42,6 @@ __all__ = [
     "ensemble_coherence", "partition_strong_weak",
     "distribution_stats", "fit_stretched_exponential", "run_sweep",
     "build_library", "estimate_density", "likelihood_surface",
-    "run_validation", "visibility", "yield_sweep",
+    "run_validation", "yield_sweep",
     "__version__",
 ]

@@ -17,7 +17,7 @@ same bath again; an int seed writes `seed <int>` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from math import gamma as gamma_fn
+from math import gamma as gamma_fn, isfinite, log10
 
 import numpy as np
 
@@ -34,6 +34,8 @@ _DIAMOND_BASIS = np.array([
 BOND_LENGTH_NM = CONSTANTS.diamond_lattice_constant * np.sqrt(3.0) / 4.0
 
 MAX_EXPECTED_SPINS = 2_000_000
+MAX_LATTICE_SITES = 2**62  # site indices are drawn as int64
+MAX_DENSITY_PPM = 1e6  # one defect per carbon site
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,15 @@ class BathGeometry:
     placement_mode: str = "lattice-site"  # or "continuum-poisson"
 
     def __post_init__(self):
-        if self.density_ppm <= 0:
-            raise ValueError("density must be positive")
-        if self.thickness <= 0:
-            raise ValueError("thickness must be positive")
-        if self.lateral_radius <= 0:
-            raise ValueError("lateral_radius must be positive")
+        for name, value in (("density", self.density_ppm),
+                            ("thickness", self.thickness),
+                            ("lateral_radius", self.lateral_radius)):
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value:g}")
+        if self.density_ppm > MAX_DENSITY_PPM:
+            raise ValueError(f"density {self.density_ppm:g} ppm exceeds "
+                             f"{MAX_DENSITY_PPM:g} ppm, one per carbon site")
         if self.placement_mode not in ("lattice-site", "continuum-poisson"):
             raise ValueError(f"unknown placement_mode {self.placement_mode!r}")
 
@@ -62,17 +67,19 @@ class BathGeometry:
 
     @property
     def expected_count(self):
-        return self.number_density * np.pi * self.lateral_radius**2 * self.thickness
+        R = self.lateral_radius
+        return self.number_density * np.pi * (R * R) * self.thickness
 
 
 @dataclass(frozen=True, eq=False)
 class BathConfiguration:
     """One bath as three read-only arrays: spin k sits at positions[k]
     (nm, with the central spin at the origin), with Jahn-Teller axis
-    jt_axes[k] in 0..3 and nuclear projection nuclear_m[k].  `seed` and `spawn_key` name the SeedSequence it was
-    drawn from: SeedSequence(seed, spawn_key=spawn_key) regenerates it.
-    Two configurations are equal when every field is (arrays element by
-    element); the hash covers geometry, seed, spawn key and size."""
+    jt_axes[k] in 0..3 and nuclear projection nuclear_m[k].  `seed` and
+    `spawn_key` name the SeedSequence it was drawn from:
+    SeedSequence(seed, spawn_key=spawn_key) regenerates it.  Two
+    configurations are equal when every field is (arrays element by
+    element); configurations are not hashable."""
 
     positions: np.ndarray  # (n, 3) nm
     jt_axes: np.ndarray  # (n,) int
@@ -115,9 +122,6 @@ class BathConfiguration:
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
                    else a == b for a, b in pairs)
 
-    def __hash__(self):
-        return hash((self.geometry, self.seed, self.spawn_key, len(self)))
-
 
 def default_lateral_radius(density_ppm, thickness, target_spins=36):
     """Radius holding `target_spins` expected defects in the slab.
@@ -144,8 +148,10 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
     over `nuclear_projections`.  Deterministic given (geometry, seed); the
     seed is an int or a SeedSequence with int entropy.
     """
-    if geometry.expected_count > MAX_EXPECTED_SPINS:
-        raise ValueError("bath too large: expected count exceeds cap")
+    expected = geometry.expected_count
+    if not expected <= MAX_EXPECTED_SPINS:
+        raise ValueError(f"bath too large: {expected:g} expected spins exceed "
+                         f"the cap of {MAX_EXPECTED_SPINS}")
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     if not isinstance(ss.entropy, (int, np.integer)):
@@ -153,15 +159,16 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
     rng = np.random.default_rng(ss)
     R = geometry.lateral_radius
     t = geometry.thickness
-    prob = geometry.density_ppm * 1e-6
 
     if geometry.placement_mode == "lattice-site":
         a = CONSTANTS.diamond_lattice_constant
         nx = int(np.ceil(2 * R / a)) + 1
         nz = int(np.ceil(t / a)) + 1
-        ncells = nx * nx * nz
-        nsites = ncells * 8
-        count = rng.binomial(nsites, prob)
+        nsites = nx * nx * nz * 8
+        if nsites > MAX_LATTICE_SITES:
+            raise ValueError(f"bath too large: about 10^{log10(nsites):.0f} "
+                             f"lattice sites exceed the cap of 2^62")
+        count = rng.binomial(nsites, geometry.density_ppm * 1e-6)
         idx = rng.choice(nsites, size=count, replace=False) if count else np.array([], dtype=int)
         sub = idx % 8
         cell = idx // 8
@@ -173,39 +180,60 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
         pos[:, 1] -= nx * a / 2.0
         pos[:, 2] -= nz * a / 2.0
     else:
-        rho = geometry.number_density
-        count = rng.poisson(rho * np.pi * R * R * t)
-        r2 = rng.uniform(0.0, R * R, count)
-        phi = rng.uniform(0.0, 2 * np.pi, count)
-        pos = np.stack([
-            np.sqrt(r2) * np.cos(phi),
-            np.sqrt(r2) * np.sin(phi),
-            rng.uniform(-t / 2.0, t / 2.0, count),
-        ], axis=1)
+        count = rng.poisson(geometry.number_density * np.pi * R * R * t)
+        # the doubles of three rng.uniform(low, high, count) calls, put
+        # through their low + (high - low) * u
+        u = rng.random(3 * count)
+        r = np.sqrt((R * R) * u[:count])
+        phi = (2 * np.pi) * u[count:2 * count]
+        pos = np.empty((count, 3))
+        np.multiply(r, np.cos(phi), out=pos[:, 0])
+        np.multiply(r, np.sin(phi), out=pos[:, 1])
+        low, high = float(-t / 2.0), float(t / 2.0)
+        np.add(low, (high - low) * u[2 * count:], out=pos[:, 2])
 
+    sq = pos * pos
     keep = (
-        (pos[:, 0] ** 2 + pos[:, 1] ** 2 <= R * R)
+        (sq[:, 0] + sq[:, 1] <= R * R)
         & (np.abs(pos[:, 2]) <= t / 2.0)
-        & (np.linalg.norm(pos, axis=1) > exclusion_radius)
+        # the sum that np.linalg.norm(pos, axis=1) takes
+        & (np.sqrt(np.add.reduce(sq, axis=1)) > exclusion_radius)
     )
     pos = pos[keep]
-    axes = rng.integers(0, 4, len(pos))
-    ms = rng.choice(np.asarray(nuclear_projections, dtype=float), size=len(pos))
-    return BathConfiguration(
-        positions=pos, jt_axes=axes, nuclear_m=ms, geometry=geometry,
-        seed=int(ss.entropy), spawn_key=ss.spawn_key,
-    )
+    n = len(pos)
+    axes = rng.integers(0, 4, n)
+    # the draws of rng.choice(values, n), without its checks
+    values = np.asarray(nuclear_projections, dtype=float)
+    ms = values[rng.integers(0, len(values), n)]
+    return _trusted(pos, axes, ms, geometry, int(ss.entropy),
+                    tuple(map(int, ss.spawn_key)))
+
+
+def _trusted(positions, jt_axes, nuclear_m, geometry, seed, spawn_key):
+    """A configuration of arrays that this module has just built and that
+    nothing else holds: they are set read-only, and the copies and checks
+    of BathConfiguration.__post_init__ are skipped."""
+    for arr in (positions, jt_axes, nuclear_m):
+        arr.flags.writeable = False
+    config = object.__new__(BathConfiguration)
+    vars(config).update(positions=positions, jt_axes=jt_axes,
+                        nuclear_m=nuclear_m, geometry=geometry, seed=seed,
+                        spawn_key=spawn_key)
+    return config
 
 
 def _select(config: BathConfiguration, index, geometry) -> BathConfiguration:
     """The spins of `config` picked by a boolean mask or an index array."""
-    return BathConfiguration(config.positions[index], config.jt_axes[index],
-                             config.nuclear_m[index], geometry, config.seed,
-                             config.spawn_key)
+    return _trusted(config.positions[index], config.jt_axes[index],
+                    config.nuclear_m[index], geometry, config.seed,
+                    config.spawn_key)
 
 
 def slice_bath(config: BathConfiguration, new_thickness) -> BathConfiguration:
     """Retain spins with |z| <= new_thickness/2 around the central plane."""
+    if not isfinite(new_thickness):
+        raise ValueError(f"slice thickness must be finite, got "
+                         f"{new_thickness:g}")
     if new_thickness <= 0:
         raise ValueError("slice thickness must be positive")
     if new_thickness > config.geometry.thickness:
@@ -219,7 +247,8 @@ def keep_nearest(config: BathConfiguration, n: int) -> BathConfiguration:
     """Retain the n bath spins closest to the central spin."""
     if len(config) <= n:
         return config
-    d = np.linalg.norm(config.positions, axis=1)
+    # the sum that np.linalg.norm(positions, axis=1) takes
+    d = np.sqrt(np.add.reduce(config.positions ** 2, axis=1))
     order = np.argsort(d, kind="stable")[:n]
     return _select(config, np.sort(order), config.geometry)
 

@@ -1,9 +1,9 @@
 """Nearest-neighbor statistics and strong-coupling yield vs bath dimensionality.
 
 Closed-form nearest-neighbor distance distributions for 2D and 3D baths,
-the visibility nu = |A_0| / (sqrt(2) A_bath) of the nearest bath spin, and
-Monte-Carlo estimates of the fraction of bath configurations containing at
-least one strongly coupled spin as a function of slab thickness.
+the visibility estimate built on them, and Monte-Carlo estimates of the
+fraction of bath configurations containing at least one strongly coupled
+spin as a function of slab thickness.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bath import (BathConfiguration, BathGeometry, default_lateral_radius,
+from .bath import (BathGeometry, default_lateral_radius,
                    mean_nn_distance_formula, nearest_neighbor_distance,
                    slice_bath)
-from .cce import (STRONG_THRESHOLD, _configurations, _couplings,
-                  partition_strong_weak)
+from .cce import STRONG_THRESHOLD, _configurations, partition_strong_weak
 from .constants import ppm_to_number_density
 from .textio import LineReader
 
@@ -113,35 +112,6 @@ def peaked_gamma_visibility(r_nn, dimensionality, density):
     r_nn = np.asarray(r_nn, dtype=float)
     return r_nn**-3 / (np.sqrt(2.0)
                        * bath_rate_scale(dimensionality, density, r_nn))
-
-
-@dataclass(frozen=True)
-class VisibilitySample:
-    nu: float
-    a0: float  # rad/ms, secular coupling of the nearest spin
-    a_bath: float  # rad/ms
-
-    def __post_init__(self):
-        if self.a_bath > 0:
-            expect = abs(self.a0) / (np.sqrt(2.0) * self.a_bath)
-            if not np.isclose(self.nu, expect, rtol=1e-12):
-                raise ValueError("nu inconsistent with a0 and a_bath")
-
-
-def visibility(config: BathConfiguration) -> VisibilitySample:
-    """nu = |A_0| / (sqrt(2) A_bath): the nearest spin's secular coupling
-    against the dephasing of all the other spins, A_bath^2 = sum A_z^2/4."""
-    if len(config) < 2:
-        raise ValueError("visibility undefined: need >= 2 bath spins")
-    az = _couplings(config)
-    k = int(np.argmin(np.linalg.norm(config.positions, axis=1)))
-    a0 = float(az[k])
-    rest = np.delete(az, k)
-    a_bath = float(np.sqrt(np.sum(rest**2) / 4.0))
-    if a_bath == 0:
-        return VisibilitySample(nu=np.inf, a0=a0, a_bath=0.0)
-    return VisibilitySample(nu=abs(a0) / (np.sqrt(2.0) * a_bath),
-                            a0=a0, a_bath=a_bath)
 
 
 @dataclass(frozen=True)

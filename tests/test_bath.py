@@ -1,5 +1,5 @@
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,47 @@ def test_geometry_validation():
         BathGeometry(1.0, 5.0, 10.0, "magic")
 
 
+@pytest.mark.parametrize("fields,match", [
+    ((np.nan, 5.0, 10.0), "density must be positive and finite, got nan"),
+    ((1.0, np.inf, 10.0), "thickness must be positive and finite, got inf"),
+    ((1.0, 5.0, -np.inf), "lateral_radius must be positive and finite, "
+                          "got -inf"),
+    ((1.5e6, 5.0, 10.0), "density 1.5e[+]06 ppm exceeds 1e[+]06 ppm"),
+])
+def test_geometry_refuses_non_finite_fields_and_overfull_densities(fields,
+                                                                   match):
+    with pytest.raises(ValueError, match=match):
+        BathGeometry(*fields)
+    BathGeometry(1e6, 5.0, 10.0)
+
+
+def test_expected_count_does_not_overflow():
+    assert BathGeometry(3.0, 10.0, 1e300).expected_count == np.inf
+
+
+@pytest.mark.parametrize("geom,match", [
+    # 36 spins at 1e-300 ppm in a 10 nm slab need a radius of 1e149 nm
+    (BathGeometry(1e-300, 10.0, default_lateral_radius(1e-300, 10.0)),
+     "lattice sites exceed the cap"),
+    (BathGeometry(3.0, 10.0, 1e300), "inf expected spins exceed the cap"),
+    (BathGeometry(3.0, 10.0, 1e300, "continuum-poisson"),
+     "inf expected spins exceed the cap"),
+])
+def test_generate_bath_refuses_a_bath_too_large_to_draw(geom, match):
+    with pytest.raises(ValueError, match=match):
+        generate_bath(geom, 1)
+
+
+@pytest.mark.parametrize("thickness,match", [
+    (np.nan, "must be finite, got nan"), (np.inf, "must be finite, got inf"),
+    (0.0, "must be positive"), (-1.0, "must be positive"),
+])
+def test_slice_refuses_a_thickness_not_positive_and_finite(thickness, match):
+    cfg = generate_bath(BathGeometry(20.0, 20.0, 20.0), 5)
+    with pytest.raises(ValueError, match="slice thickness " + match):
+        slice_bath(cfg, thickness)
+
+
 def test_determinism():
     geom = BathGeometry(5.0, 10.0, 20.0)
     a = generate_bath(geom, 42)
@@ -47,8 +88,9 @@ def test_determinism():
 def test_configuration_equality_and_hash():
     geom = BathGeometry(20.0, 20.0, 20.0)
     a, b = generate_bath(geom, 5), generate_bath(geom, 5)
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
+    assert a == b
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
     assert a != generate_bath(geom, 6)
     assert a != slice_bath(a, 4.0)
     assert a != keep_nearest(a, len(a) - 1)
@@ -56,7 +98,7 @@ def test_configuration_equality_and_hash():
     moved[0, 0] += 1e-9
     shifted = BathConfiguration(moved, a.jt_axes, a.nuclear_m, a.geometry,
                                 a.seed)
-    assert a != shifted and hash(a) == hash(shifted)
+    assert a != shifted
     assert a != "not a bath"
 
 
@@ -191,21 +233,16 @@ def test_read_bath_malformed_lines(line, replacement):
         read_bath(io.StringIO("".join(lines)))
 
 
-# --- bit-identity against the per-spin implementation ----------------------
+# --- bit-identity against frozen copies ------------------------------------
 #
-# The per-spin dataclass implementation that the array layout replaced,
-# kept as the reference: generation draws the same numbers in the same
-# order, and slicing and trimming pick the same spins.
+# Frozen copies of generate_bath, slice_bath and keep_nearest as they were
+# before generation drew all coordinates at once and skipped the public
+# constructor's copies and checks: three rng.uniform calls, rng.choice for
+# the nuclear projections and np.linalg.norm, each result built through
+# the public BathConfiguration constructor.
 
-@dataclass(frozen=True)
-class ReferenceSpin:
-    position: np.ndarray
-    jt_axis: int
-    nuclear_m: float
-
-
-def reference_generate_bath(geometry, seed, nuclear_projections=(-0.5, 0.5),
-                            exclusion_radius=BOND_LENGTH_NM):
+def frozen_generate_bath(geometry, seed, nuclear_projections=(-0.5, 0.5),
+                         exclusion_radius=BOND_LENGTH_NM):
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
@@ -247,9 +284,87 @@ def reference_generate_bath(geometry, seed, nuclear_projections=(-0.5, 0.5),
     pos = pos[keep]
     axes = rng.integers(0, 4, len(pos))
     ms = rng.choice(np.asarray(nuclear_projections, dtype=float), size=len(pos))
-    return tuple(ReferenceSpin(position=pos[k].copy(), jt_axis=int(axes[k]),
-                               nuclear_m=float(ms[k]))
-                 for k in range(len(pos)))
+    return BathConfiguration(
+        positions=pos, jt_axes=axes, nuclear_m=ms, geometry=geometry,
+        seed=int(ss.entropy), spawn_key=ss.spawn_key,
+    )
+
+
+def frozen_slice_bath(config, new_thickness):
+    keep = np.abs(config.positions[:, 2]) <= new_thickness / 2.0
+    return BathConfiguration(
+        config.positions[keep], config.jt_axes[keep], config.nuclear_m[keep],
+        replace(config.geometry, thickness=float(new_thickness)),
+        config.seed, config.spawn_key)
+
+
+def frozen_keep_nearest(config, n):
+    if len(config) <= n:
+        return config
+    d = np.linalg.norm(config.positions, axis=1)
+    index = np.sort(np.argsort(d, kind="stable")[:n])
+    return BathConfiguration(
+        config.positions[index], config.jt_axes[index],
+        config.nuclear_m[index], config.geometry, config.seed,
+        config.spawn_key)
+
+
+def assert_identical(cfg, frozen):
+    assert cfg == frozen
+    for name in ("positions", "jt_axes", "nuclear_m"):
+        arr, ref = getattr(cfg, name), getattr(frozen, name)
+        assert arr.dtype == ref.dtype and arr.shape == ref.shape
+        assert arr.flags.writeable is False
+    assert type(cfg.seed) is int
+    assert all(type(k) is int for k in cfg.spawn_key)
+
+
+@pytest.mark.parametrize("mode", ["lattice-site", "continuum-poisson"])
+@pytest.mark.parametrize("ppm,thickness,spins", [
+    (3.0, 4.0, 36), (20.0, 1.0, 36), (1.0, 32.0, 36),
+    (30.0, 12.0, 0.5),  # most of these baths are empty
+])
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"exclusion_radius": 0.0},
+    {"nuclear_projections": (0.5,)},
+    {"nuclear_projections": (-1.0, 0.0, 1.0), "exclusion_radius": 2.5},
+])
+def test_generation_slicing_and_trimming_match_frozen_copies(
+        mode, ppm, thickness, spins, kwargs):
+    geom = BathGeometry(ppm, thickness,
+                        default_lateral_radius(ppm, thickness, spins), mode)
+    seeds = list(range(20)) + np.random.SeedSequence(
+        9, spawn_key=(2,)).spawn(20)
+    sizes = set()
+    for seed in seeds:
+        cfg = generate_bath(geom, seed, **kwargs)
+        ref = frozen_generate_bath(geom, seed, **kwargs)
+        assert_identical(cfg, ref)
+        sizes.add(len(cfg))
+        for t in (0.25 * thickness, 0.5, thickness):
+            assert_identical(slice_bath(cfg, t), frozen_slice_bath(ref, t))
+        for n in (0, 1, 7, len(cfg)):
+            assert_identical(keep_nearest(cfg, n), frozen_keep_nearest(ref, n))
+    assert 0 in sizes if spins < 1 else len(sizes) > 1
+
+
+# The per-spin dataclass implementation that the array layout replaced,
+# kept as the reference: generation draws the same numbers in the same
+# order, and slicing and trimming pick the same spins.
+
+@dataclass(frozen=True)
+class ReferenceSpin:
+    position: np.ndarray
+    jt_axis: int
+    nuclear_m: float
+
+
+def reference_generate_bath(geometry, seed, **kwargs):
+    cfg = frozen_generate_bath(geometry, seed, **kwargs)
+    return tuple(ReferenceSpin(position=p.copy(), jt_axis=int(a),
+                               nuclear_m=float(m))
+                 for p, a, m in zip(cfg.positions, cfg.jt_axes, cfg.nuclear_m))
 
 
 def reference_slice_bath(spins, central_position, new_thickness):

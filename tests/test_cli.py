@@ -422,6 +422,30 @@ def test_coherence_refuses_a_bad_dipole_radius(capsys, radius):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    # 36 spins at 1e-300 ppm need a slab of about 1e300 lattice sites
+    (["bath", "--density", "1e-300", "--thickness", "10"],
+     "lattice sites exceed the cap of 2^62"),
+    (["bath", "--density", "3", "--thickness", "10", "--radius", "1e300"],
+     "bath too large: inf expected spins exceed the cap of 2000000"),
+    (["bath", "--density", "nan", "--thickness", "10"],
+     "density must be positive and finite, got nan"),
+    (["yield", "--densities", "3", "--thicknesses", "1,nan",
+      "--nconfigs", "2"],
+     "slice thickness must be finite, got nan"),
+    (["library", "--densities", "1,1e300", "--thicknesses", "2",
+      "--nsamples", "2"],
+     "density 1e+300 ppm exceeds 1e+06 ppm"),
+])
+def test_bath_inputs_that_cannot_be_drawn_end_in_one_error_line(
+        capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_mle_end_to_end(tmp_path, capsys):
     lib_file = tmp_path / "library.txt"
     code, _, _ = run_cli(capsys, "library", "--densities", "2,4,8,16",

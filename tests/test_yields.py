@@ -6,30 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from spinbath.bath import (BathConfiguration, BathGeometry,
-                           mean_nn_distance_formula)
+from spinbath.bath import mean_nn_distance_formula
 from spinbath.constants import ppm_to_number_density
 from spinbath.yields import (
     NNDistribution,
-    VisibilitySample,
     YieldReport,
     bath_rate_scale,
     nn_pdf,
     peaked_gamma_visibility,
     read_yield_report,
-    visibility,
     visibility_ratio_2d3d,
     write_yield_report,
     yield_sweep,
 )
-
-
-def bath_from_positions(positions, thickness=60.0, radius=60.0, ppm=3.0):
-    geom = BathGeometry(ppm, thickness, radius, "continuum-poisson")
-    positions = np.asarray(positions, float)
-    n = len(positions)
-    return BathConfiguration(positions=positions, jt_axes=np.zeros(n, int),
-                             nuclear_m=np.full(n, 0.5), geometry=geom, seed=0)
 
 
 # --- closed-form distributions -----------------------------------------
@@ -99,49 +88,6 @@ def test_peaked_gamma_mean_ratio_is_sqrt2():
     nu3, _ = quad(lambda r: peaked_gamma_visibility(r, "3D", rho)
                   * d3.pdf(r), 0, np.inf)
     assert nu2 / nu3 == pytest.approx(np.sqrt(2.0), rel=1e-8)
-
-
-# --- visibility ---------------------------------------------------------
-
-def test_visibility_two_equal_spins():
-    # nearest spin vs one identical other: nu = |A|/(sqrt(2) |A|/2)
-    cfg = bath_from_positions([[0, 0, 4.0], [0, 0, -4.0]])
-    v = visibility(cfg)
-    assert v.nu == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-
-def test_visibility_dominant_neighbor():
-    cfg = bath_from_positions([[0, 0, 2.0], [0, 0, -20.0], [15.0, 0, 0]])
-    v = visibility(cfg)
-    assert v.nu > 10.0
-
-
-def test_visibility_rotation_invariance_about_axis():
-    # rotating the bath about the quantization axis preserves nu
-    from spinbath.constants import DEFAULTS
-
-    rng = np.random.default_rng(0)
-    pos = rng.uniform(-10, 10, (5, 3))
-    axis = np.asarray(DEFAULTS.central.quantization_axis, float)
-    axis = axis / np.linalg.norm(axis)
-    th = 1.1
-    K = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    rot = np.eye(3) + np.sin(th) * K + (1 - np.cos(th)) * (K @ K)
-    v1 = visibility(bath_from_positions(pos))
-    v2 = visibility(bath_from_positions(pos @ rot.T))
-    assert v2.nu == pytest.approx(v1.nu, rel=1e-10)
-
-
-def test_visibility_needs_two_spins():
-    with pytest.raises(ValueError):
-        visibility(bath_from_positions([[0, 0, 3.0]]))
-
-
-def test_visibility_sample_invariant():
-    with pytest.raises(ValueError):
-        VisibilitySample(nu=1.0, a0=10.0, a_bath=1.0)
 
 
 # --- yield sweep --------------------------------------------------------
