@@ -133,8 +133,11 @@ def default_lateral_radius(density_ppm, thickness, target_spins=36):
         raise ValueError("density must be positive")
     if thickness <= 0:
         raise ValueError("thickness must be positive")
-    rho = ppm_to_number_density(density_ppm)
-    return float(np.sqrt(target_spins / (rho * np.pi * thickness)))
+    area = ppm_to_number_density(density_ppm) * np.pi * thickness
+    if area == 0:
+        raise ValueError(f"density {density_ppm:g} ppm times thickness "
+                         f"{thickness:g} nm underflows to zero")
+    return float(np.sqrt(target_spins / area))
 
 
 def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
@@ -162,6 +165,11 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
 
     if geometry.placement_mode == "lattice-site":
         a = CONSTANTS.diamond_lattice_constant
+        # a span of more cells than a float holds is past the cap too
+        if not max(2 * R, t) / a < np.inf:
+            raise ValueError(f"bath too large: a slab {t:g} nm thick and "
+                             f"{R:g} nm in radius holds more lattice sites "
+                             f"than the cap of 2^62")
         nx = int(np.ceil(2 * R / a)) + 1
         nz = int(np.ceil(t / a)) + 1
         nsites = nx * nx * nz * 8

@@ -10,12 +10,18 @@ Two Hamiltonian modes:
   reduces to two bath-only blocks of dimension 2^k.  This is the
   production path.  Its kernel is batched over clusters, time points and
   bath states (a sampled product state, or all 2^k basis states, averaged,
-  for the thermal trace).  Sampled values are bit-identical to evaluating
-  the same expressions one time point at a time; thermal values agree
-  with the closed-form trace to rounding.  The kernel's cluster chunks
-  run on a thread pool sized to the CPUs the process may use; each
-  cluster's arithmetic is the same on any thread, so values do not
-  depend on the pool size.
+  for the thermal trace).  The secular Hamiltonian conserves total P_z:
+  when a cluster's eigenvectors are exactly zero outside one popcount
+  sector (LAPACK's pair eigenvectors are, in practice), a sampled state is
+  evolved on its sector block only (1 or 2 of a pair's 4 basis states);
+  a block of more than two states is scattered back into a 2^k row
+  before the final sum, so the bytes are those of the full block.
+  Sampled values are bit-identical to evaluating the same expressions
+  one time point at a time; thermal values agree with the closed-form
+  trace to rounding.
+  The kernel's cluster chunks run on a thread pool sized to the CPUs the
+  process may use; each cluster's arithmetic is the same on any thread,
+  so values do not depend on the pool size.
 - "full": complete dipolar tensors in the (2S+1) * 2^k Hilbert space,
   used for small-bath oracles and cross-checks.  Each cluster is
   diagonalized once and propagated by one path for every bath state (a
@@ -126,9 +132,12 @@ class CCEConfig:
             raise ValueError("order must be >= 1")
         if self.n_bath_states < 1:
             raise ValueError("n_bath_states must be >= 1")
-        if not 0 < self.dipole_radius < np.inf:
+        radius = float(self.dipole_radius)
+        # _adjacency compares squared distances with its square
+        if not (radius > 0 and radius * radius < np.inf):
             raise ValueError(f"dipole_radius must be positive and finite, "
-                             f"got {self.dipole_radius!r}")
+                             f"and so must its square, got "
+                             f"{self.dipole_radius!r}")
         if grid.ndim != 1 or not grid.size or np.any(np.diff(grid) <= 0) \
                 or grid[0] < 0:
             raise ValueError("time_grid must be non-empty and strictly "
@@ -632,6 +641,15 @@ def _contract(M, x, transpose=False):
     return y
 
 
+def _sector_of_columns(V, popcount):
+    """Per cluster, the P_z sector (popcount) of each eigenvector column of
+    V, and whether every column is exactly zero outside its sector."""
+    sector = popcount[np.argmax(V != 0, axis=1)]
+    sparse = np.all((V == 0) | (popcount[:, None] == sector[:, None, :]),
+                    axis=(1, 2))
+    return sector, sparse
+
+
 def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
                             time_grid, exact=False):
     """L_C(t) for a batch of equal-size clusters in secular mode.
@@ -640,11 +658,19 @@ def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
     state, ignored when exact=True: the thermal trace is then the average
     over all 2^k basis states, each evolved as one more row of the batch.
     Returns (ncl, nt) complex.  Work is batched over (cluster, time, bath
-    state) in chunks of about _KERNEL_CHUNK elements per 2^k vector; a
+    state) in chunks of about _KERNEL_CHUNK elements per row; a
     sampled value is bit-identical to the same contractions done one time
     point at a time with einsum.  The eigendecompositions run on the
-    calling thread and the chunks, split into at most _WORKERS contiguous
-    runs, on the kernel's thread pool.
+    calling thread and the chunks, split into at most _WORKERS runs, on
+    the kernel's thread pool.
+
+    A sampled state of a cluster whose V0 and V1 columns are each exactly
+    zero outside one popcount sector runs on its sector block, with its
+    eigen-indices in ascending order: every term left out is an exact
+    zero, and the rest are summed in the full block's order.  Per chunk,
+    a block of more than two states is scattered into a zeroed 2^k row,
+    so the final sum associates as on the full block.  Only the sign of a
+    zero can differ.
     """
     if sequence.kind not in ("Ramsey", "HahnEcho"):
         raise ValueError(f"unsupported sequence {sequence.kind!r}")
@@ -656,20 +682,50 @@ def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
     E1, V1 = np.linalg.eigh(H1)
     M = np.einsum("cpi,cpj->cij", V1, V0)  # V1^dag V0, real orthogonal
     if exact:
-        a, b = V0, V1  # row p: <p| V0 -> coeffs, for every basis state p
+        # row p: <p| V0 -> coeffs, for every basis state p
+        blocks = [(np.arange(ncl), M, E0, E1, V0, V1, None)]
     else:
         idx = _state_index(state_bits, cluster_sets, k)
-        a = V0[np.arange(ncl), idx, None, :]  # (ncl, 1 state, d)
-        b = V1[np.arange(ncl), idx, None, :]
+        popcount = (np.arange(d)[:, None] >> np.arange(k) & 1).sum(axis=1)
+        sector0, sparse0 = _sector_of_columns(V0, popcount)
+        sector1, sparse1 = _sector_of_columns(V1, popcount)
+        # the eigen-indices of the sampled state's sector in V0 and V1;
+        # a cluster not exactly sector-sparse in both keeps all of them
+        in0 = sector0 == popcount[idx, None]
+        in1 = sector1 == popcount[idx, None]
+        dense = ~(sparse0 & sparse1 & (in0.sum(1) == in1.sum(1)))
+        in0[dense] = in1[dense] = True
+        size = in0.sum(axis=1)
+        blocks = []
+        for n in np.unique(size):
+            rows = np.flatnonzero(size == n)
+            r = rows[:, None]
+            c0 = np.nonzero(in0[rows])[1].reshape(-1, n)
+            c1 = np.nonzero(in1[rows])[1].reshape(-1, n)
+            p = idx[r]
+            # the last factor's columns: eigen0 for Hahn, eigen1 for
+            # Ramsey.  A sum of at most two terms does not depend on its
+            # association, so only larger blocks are scattered.
+            cols = c0 if sequence.kind == "HahnEcho" else c1
+            blocks.append((rows, M[r[..., None], c1[..., None], c0[:, None]],
+                           E0[r, c0], E1[r, c1],
+                           V0[r, p, c0][:, None], V1[r, p, c1][:, None],
+                           cols if 2 < n < d else None))
 
     out = np.empty((ncl, len(t)), dtype=complex)
-    step = max(1, _KERNEL_CHUNK // (len(t) * a.shape[1] * d))
-
-    def run(starts):
-        for c0 in starts:
+    tasks = []
+    for rows, m, e0, e1, a, b, cols in blocks:
+        width = m.shape[-1] if cols is None else d
+        step = max(1, _KERNEL_CHUNK // (len(t) * a.shape[1] * width))
+        for c0 in range(0, len(rows), step):
             s = slice(c0, c0 + step)
-            m, e0, e1 = M[s], E0[s, None, None, :], E1[s, None, None, :]
-            a_s, b_s = a[s, None], b[s, None]  # (c, 1 time, state, d)
+            tasks.append((rows[s], m[s], e0[s, None, None, :],
+                          e1[s, None, None, :], a[s, None], b[s, None],
+                          None if cols is None else cols[s, None, None, :]))
+
+    def run(tasks):
+        # a_s, b_s: (c, 1 time, state, block)
+        for rows, m, e0, e1, a_s, b_s, cols in tasks:
             if sequence.kind == "Ramsey":
                 tt = t[:, None, None]
                 y = _contract(m, a_s * np.exp(-1j * e0 * tt))
@@ -683,20 +739,25 @@ def _secular_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
                 w = _contract(m, p0 * w)
                 w = _contract(m, p1.conj() * w, transpose=True)
                 w = a_s * p0.conj() * w
-            out[s] = np.mean(np.sum(w, axis=-1), axis=-1)
+            if cols is not None:
+                # the full row's terms, each at its own eigen-index, so
+                # the sum over them associates as in the full kernel
+                row = np.zeros(w.shape[:-1] + (d,), dtype=complex)
+                np.put_along_axis(row, np.broadcast_to(cols, w.shape), w,
+                                  axis=-1)
+                w = row
+            out[rows] = np.mean(np.sum(w, axis=-1), axis=-1)
 
-    starts = range(0, ncl, step)
-    n = len(starts)
+    n = len(tasks)
     workers = min(_WORKERS, n)
     if workers == 1:
-        run(starts)
+        run(tasks)
         return out
-    # contiguous runs of chunks, one per worker, each writing its own rows.
+    # every workers-th chunk to each worker, each writing its own rows.
     # numpy's floating-point error state is a context variable, so each
     # group runs in a copy of the caller's context.  Every group ends
     # before the call does; then the first failed group's error is raised.
-    groups = [starts[g * n // workers:(g + 1) * n // workers]
-              for g in range(workers)]
+    groups = [tasks[g::workers] for g in range(workers)]
     futures = [_kernel_pool().submit(contextvars.copy_context().run, run, g)
                for g in groups]
     wait(futures)

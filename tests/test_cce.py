@@ -102,7 +102,7 @@ def test_cce_config_validation():
                   mode="heuristic")
 
 
-@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf, 1e200])
 def test_cce_config_rejects_bad_dipole_radius(radius):
     with pytest.raises(ValueError, match="dipole_radius must be positive"):
         CCEConfig(order=2, dipole_radius=radius, n_bath_states=1,
@@ -499,6 +499,116 @@ def test_cce_coherence_bit_identical_to_reference_path(monkeypatch, order):
         total += prod
     assert np.array_equal(new.values, total / 2)
     assert new.metadata["floored_fraction"] == 0.0
+
+
+# --- sector blocks against a frozen copy of the full-block kernel ----------
+
+def frozen_dense_cluster_curves(H0, H1, state_bits, cluster_sets, sequence,
+                                time_grid, exact=False):
+    """The secular kernel as it was before sector blocks: every cluster on
+    its full 2^k block, chunks run inline (values do not depend on the
+    worker count)."""
+    cluster_sets = np.asarray(cluster_sets, dtype=int)
+    ncl, k = cluster_sets.shape
+    d = 2**k
+    t = np.asarray(time_grid, dtype=float)
+    E0, V0 = np.linalg.eigh(H0)
+    E1, V1 = np.linalg.eigh(H1)
+    M = np.einsum("cpi,cpj->cij", V1, V0)
+    if exact:
+        a, b = V0, V1
+    else:
+        idx = cce_module._state_index(state_bits, cluster_sets, k)
+        a = V0[np.arange(ncl), idx, None, :]
+        b = V1[np.arange(ncl), idx, None, :]
+    out = np.empty((ncl, len(t)), dtype=complex)
+    step = max(1, cce_module._KERNEL_CHUNK // (len(t) * a.shape[1] * d))
+    contract = cce_module._contract
+    for c0 in range(0, ncl, step):
+        s = slice(c0, c0 + step)
+        m, e0, e1 = M[s], E0[s, None, None, :], E1[s, None, None, :]
+        a_s, b_s = a[s, None], b[s, None]
+        if sequence.kind == "Ramsey":
+            tt = t[:, None, None]
+            y = contract(m, a_s * np.exp(-1j * e0 * tt))
+            w = b_s * np.exp(-1j * e1 * tt).conj() * y
+        else:
+            tau = t[:, None, None] / 2.0
+            p0 = np.exp(-1j * e0 * tau)
+            p1 = np.exp(-1j * e1 * tau)
+            w = contract(m, p1 * b_s, transpose=True)
+            w = contract(m, p0 * w)
+            w = contract(m, p1.conj() * w, transpose=True)
+            w = a_s * p0.conj() * w
+        out[s] = np.mean(np.sum(w, axis=-1), axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+@pytest.mark.parametrize("order", [2, 3])
+def test_sector_kernel_matches_frozen_dense_kernel(monkeypatch, sequence,
+                                                    order):
+    cfg = dense_test_bath()
+    t = np.concatenate([[0.0], np.geomspace(1e-4, 0.05, 30)])
+    cce = CCEConfig(order=order, dipole_radius=1e9 if order == 2 else 4.0,
+                    n_bath_states=2, time_grid=t)
+    p1 = DEFAULTS.p1("n14")
+    new = cce_coherence(cfg, cce, sequence, seed=3, p1=p1).values
+    monkeypatch.setattr(cce_module, "_secular_cluster_curves",
+                        frozen_dense_cluster_curves)
+    old = cce_coherence(cfg, cce, sequence, seed=3, p1=p1).values
+    assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_sector_kernel_matches_frozen_dense_kernel_per_cluster(sequence,
+                                                               size):
+    # at size 3 one call mixes sector blocks with full-block clusters
+    H0, H1, bits, sets, t = kernel_inputs(size)
+    new = cce_module._secular_cluster_curves(H0, H1, bits, sets, sequence, t)
+    old = frozen_dense_cluster_curves(H0, H1, bits, sets, sequence, t)
+    assert np.array_equal(new, old)
+
+
+def test_sector_of_columns_needs_exact_zeros_outside_the_sector():
+    popcount = np.array([0, 1, 1, 2])
+    c, s = np.cos(0.3), np.sin(0.3)
+    # flip-flop rotation inside the one-spin-up sector
+    V = np.array([[[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]]],
+                 dtype=float)
+    sector, sparse = cce_module._sector_of_columns(V, popcount)
+    assert sector.tolist() == [[0, 1, 1, 2]] and sparse.tolist() == [True]
+    V[0, 3, 1] = 1e-300  # a tiny weight on |11> in a one-up column
+    assert cce_module._sector_of_columns(V, popcount)[1].tolist() == [False]
+
+def reduced_clusters(monkeypatch, size):
+    """(clusters the kernel ran on a block smaller than 2^size, clusters)
+    for one sampled Ramsey call on kernel_inputs(size)."""
+    contract = cce_module._contract
+    shapes = []
+
+    def recorded(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return contract(M, *args, **kwargs)
+
+    monkeypatch.setattr(cce_module, "_contract", recorded)
+    H0, H1, bits, sets, t = kernel_inputs(size)
+    cce_module._secular_cluster_curves(H0, H1, bits, sets, RAMSEY, t)
+    assert sum(shape[0] for shape in shapes) == len(sets)
+    return sum(shape[0] for shape in shapes if shape[-1] < 2**size), len(sets)
+
+
+def test_sampled_pairs_run_on_their_sector_block(monkeypatch):
+    # a pair's eigenvectors are exactly sector-sparse, so no pair falls
+    # back to the full block
+    reduced, total = reduced_clusters(monkeypatch, 2)
+    assert reduced == total == 400
+
+
+def test_triples_mix_sector_and_full_blocks(monkeypatch):
+    reduced, total = reduced_clusters(monkeypatch, 3)
+    assert 0 < reduced < total
 
 
 def test_telescope_floors_like_the_loop():

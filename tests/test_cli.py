@@ -411,7 +411,8 @@ def test_coherence_refuses_fewer_than_one_point(capsys, npoints, grid):
     assert err == f"error: --npoints must be at least 1, got {npoints}\n"
 
 
-@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("radius",
+                         ["-1", "0", "nan", "inf", "1e200", "1e300"])
 def test_coherence_refuses_a_bad_dipole_radius(capsys, radius):
     code, out, err = run_cli(capsys, "coherence", "--density", "20",
                              "--thickness", "10", "--npoints", "5",
@@ -436,6 +437,12 @@ def test_coherence_refuses_a_bad_dipole_radius(capsys, radius):
     (["library", "--densities", "1,1e300", "--thicknesses", "2",
       "--nsamples", "2"],
      "density 1e+300 ppm exceeds 1e+06 ppm"),
+    (["bath", "--density", "1e-300", "--thickness", "1e-300"],
+     "density 1e-300 ppm times thickness 1e-300 nm underflows to zero"),
+    # thickness / lattice constant overflows a float
+    (["bath", "--density", "3", "--thickness", "1e308", "--radius", "1e-160"],
+     "a slab 1e+308 nm thick and 1e-160 nm in radius holds more lattice "
+     "sites than the cap of 2^62"),
 ])
 def test_bath_inputs_that_cannot_be_drawn_end_in_one_error_line(
         capsys, argv, message):
