@@ -133,6 +133,9 @@ def default_lateral_radius(density_ppm, thickness, target_spins=36):
         raise ValueError("density must be positive")
     if thickness <= 0:
         raise ValueError("thickness must be positive")
+    if not target_spins > 0:
+        raise ValueError(f"target spin count must be positive, got "
+                         f"{target_spins:g}")
     area = ppm_to_number_density(density_ppm) * np.pi * thickness
     if area == 0:
         raise ValueError(f"density {density_ppm:g} ppm times thickness "
@@ -151,19 +154,46 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
     over `nuclear_projections`.  Deterministic given (geometry, seed); the
     seed is an int or a SeedSequence with int entropy.
     """
+    (ss,), (rng,), (pos,) = _draw_positions(geometry, [seed],
+                                            exclusion_radius)
+    n = len(pos)
+    axes = rng.integers(0, 4, n)
+    # the draws of rng.choice(values, n), without its checks
+    values = np.asarray(nuclear_projections, dtype=float)
+    ms = values[rng.integers(0, len(values), n)]
+    return _trusted(pos, axes, ms, geometry, int(ss.entropy),
+                    tuple(map(int, ss.spawn_key)))
+
+
+def _draw_positions(geometry: BathGeometry, seeds,
+                    exclusion_radius=BOND_LENGTH_NM):
+    """Spin positions of the baths that generate_bath draws from `seeds`.
+
+    Each bath draws from its own generator, as in generate_bath, and the
+    step from draws to kept positions runs once over the block.  Every
+    element goes through the arithmetic of a one-bath call, so a bath's
+    positions do not depend on the baths drawn with it.  Returns the
+    seeds' SeedSequences, their generators, left just after the position
+    draws (the Jahn-Teller axes and nuclear projections come next), and
+    each bath's (n, 3) positions, views of one array.
+    """
     expected = geometry.expected_count
     if not expected <= MAX_EXPECTED_SPINS:
         raise ValueError(f"bath too large: {expected:g} expected spins exceed "
                          f"the cap of {MAX_EXPECTED_SPINS}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    if not isinstance(ss.entropy, (int, np.integer)):
-        raise ValueError("bath seed entropy must be one integer")
-    rng = np.random.default_rng(ss)
+    seqs = []
+    for seed in seeds:
+        ss = seed if isinstance(seed, np.random.SeedSequence) \
+            else np.random.SeedSequence(seed)
+        if not isinstance(ss.entropy, (int, np.integer)):
+            raise ValueError("bath seed entropy must be one integer")
+        seqs.append(ss)
+    rngs = list(map(np.random.default_rng, seqs))
     R = geometry.lateral_radius
     t = geometry.thickness
 
-    if geometry.placement_mode == "lattice-site":
+    lattice = geometry.placement_mode == "lattice-site"
+    if lattice:
         a = CONSTANTS.diamond_lattice_constant
         # a span of more cells than a float holds is past the cap too
         if not max(2 * R, t) / a < np.inf:
@@ -176,45 +206,55 @@ def generate_bath(geometry: BathGeometry, seed, nuclear_projections=(-0.5, 0.5),
         if nsites > MAX_LATTICE_SITES:
             raise ValueError(f"bath too large: about 10^{log10(nsites):.0f} "
                              f"lattice sites exceed the cap of 2^62")
-        count = rng.binomial(nsites, geometry.density_ppm * 1e-6)
-        idx = rng.choice(nsites, size=count, replace=False) if count else np.array([], dtype=int)
+        draws = []
+        for rng in rngs:
+            count = rng.binomial(nsites, geometry.density_ppm * 1e-6)
+            draws.append(rng.choice(nsites, size=count, replace=False)
+                         if count else np.array([], dtype=int))
+        idx = draws[0] if len(draws) == 1 else np.concatenate(draws)
         sub = idx % 8
         cell = idx // 8
-        ix = cell % nx
-        iy = (cell // nx) % nx
-        iz = cell // (nx * nx)
-        pos = (np.stack([ix, iy, iz], axis=1) + _DIAMOND_BASIS[sub]) * a
+        ijk = np.empty((len(idx), 3), dtype=idx.dtype)
+        ijk[:, 0] = cell % nx
+        ijk[:, 1] = (cell // nx) % nx
+        ijk[:, 2] = cell // (nx * nx)
+        pos = (ijk + _DIAMOND_BASIS[sub]) * a
         pos[:, 0] -= nx * a / 2.0
         pos[:, 1] -= nx * a / 2.0
         pos[:, 2] -= nz * a / 2.0
     else:
-        count = rng.poisson(geometry.number_density * np.pi * R * R * t)
-        # the doubles of three rng.uniform(low, high, count) calls, put
-        # through their low + (high - low) * u
-        u = rng.random(3 * count)
-        r = np.sqrt((R * R) * u[:count])
-        phi = (2 * np.pi) * u[count:2 * count]
-        pos = np.empty((count, 3))
+        mean = geometry.number_density * np.pi * R * R * t
+        # the doubles of a bath's three rng.uniform(low, high, count)
+        # calls, put through their low + (high - low) * u
+        draws = [rng.random(3 * rng.poisson(mean)).reshape(3, -1)
+                 for rng in rngs]
+        u = draws[0] if len(draws) == 1 else np.concatenate(draws, axis=1)
+        r = np.sqrt((R * R) * u[0])
+        phi = (2 * np.pi) * u[1]
+        pos = np.empty((len(r), 3))
         np.multiply(r, np.cos(phi), out=pos[:, 0])
         np.multiply(r, np.sin(phi), out=pos[:, 1])
         low, high = float(-t / 2.0), float(t / 2.0)
-        np.add(low, (high - low) * u[2 * count:], out=pos[:, 2])
+        np.add(low, (high - low) * u[2], out=pos[:, 2])
 
     sq = pos * pos
     keep = (
         (sq[:, 0] + sq[:, 1] <= R * R)
-        & (np.abs(pos[:, 2]) <= t / 2.0)
         # the sum that np.linalg.norm(pos, axis=1) takes
         & (np.sqrt(np.add.reduce(sq, axis=1)) > exclusion_radius)
     )
+    if lattice:
+        # a continuum z, low + (high - low) * u with u in [0, 1), rounds
+        # into [low, high], so only lattice sites can leave the slab
+        keep &= np.abs(pos[:, 2]) <= t / 2.0
     pos = pos[keep]
-    n = len(pos)
-    axes = rng.integers(0, 4, n)
-    # the draws of rng.choice(values, n), without its checks
-    values = np.asarray(nuclear_projections, dtype=float)
-    ms = values[rng.integers(0, len(values), n)]
-    return _trusted(pos, axes, ms, geometry, int(ss.entropy),
-                    tuple(map(int, ss.spawn_key)))
+    if len(draws) == 1:
+        return seqs, rngs, [pos]
+    # kept[j]: spins kept among the first j drawn; bath i's end in pos
+    kept = np.zeros(len(keep) + 1, dtype=np.intp)
+    np.cumsum(keep, out=kept[1:])
+    ends = kept[np.cumsum([d.shape[-1] for d in draws])].tolist()
+    return seqs, rngs, [pos[b:e] for b, e in zip([0] + ends, ends)]
 
 
 def _trusted(positions, jt_axes, nuclear_m, geometry, seed, spawn_key):

@@ -939,6 +939,14 @@ def spawn_seed(root_seed, cell_index, config_index):
                                   spawn_key=(cell_index, config_index))
 
 
+def _configuration_seeds(n_configs, seed, cell_index):
+    """The seeds spawn_seed(seed, cell_index, i) of configurations
+    i < n_configs.  Fewer than one configuration raises ValueError."""
+    if n_configs < 1:
+        raise ValueError(f"need at least 1 configuration, got {n_configs}")
+    return (spawn_seed(seed, cell_index, i) for i in range(n_configs))
+
+
 def _configurations(geometry, n_configs, seed, cell_index, n_spins=None,
                     **bath_options):
     """Yield (seed sequence, configuration) for n_configs random baths.
@@ -950,10 +958,7 @@ def _configurations(geometry, n_configs, seed, cell_index, n_spins=None,
     # looked up on the module at each call, so patched hooks see every call
     from . import bath
 
-    if n_configs < 1:
-        raise ValueError(f"need at least 1 configuration, got {n_configs}")
-    for i in range(n_configs):
-        ss = spawn_seed(seed, cell_index, i)
+    for ss in _configuration_seeds(n_configs, seed, cell_index):
         config = bath.generate_bath(geometry, ss, **bath_options)
         if n_spins is not None:
             config = bath.keep_nearest(config, n_spins)
@@ -993,12 +998,17 @@ def ensemble_coherence(geometry, n_configs, cce, sequence, seed,
 
 
 def simulate_observable(geometry, n_configs, seed, cell_index):
-    """T2* (ms) of each of n_configs random baths of `geometry`, by the
-    analytic order-1 strong/weak partition (Ramsey); a bath with no weak
-    spins gives inf.  The baths are partitioned _PARTITION_BLOCK at a
-    time."""
-    configs = _configurations(geometry, n_configs, seed, cell_index)
+    """T2* (ms) of each of the n_configs random baths of `geometry` that
+    _configurations draws, by the analytic order-1 strong/weak partition
+    (Ramsey); a bath with no weak spins gives inf.  The baths are drawn
+    and partitioned _PARTITION_BLOCK at a time, as positions only: no
+    configuration is built, and the Jahn-Teller axes and nuclear
+    projections, each generator's last draws, are not drawn."""
+    from . import bath
+
+    seeds = _configuration_seeds(n_configs, seed, cell_index)
     t2 = []
-    while block := [c.positions for _, c in islice(configs, _PARTITION_BLOCK)]:
-        t2 += [_t2_star(a) for a in _block_partitions(block)[3].tolist()]
+    while block := list(islice(seeds, _PARTITION_BLOCK)):
+        positions = bath._draw_positions(geometry, block)[2]
+        t2 += [_t2_star(a) for a in _block_partitions(positions)[3].tolist()]
     return t2

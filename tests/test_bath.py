@@ -11,6 +11,7 @@ from spinbath.bath import (
     BOND_LENGTH_NM,
     BathConfiguration,
     BathGeometry,
+    _draw_positions,
     default_lateral_radius,
     generate_bath,
     keep_nearest,
@@ -187,6 +188,12 @@ def test_default_lateral_radius_inverts_expected_count(ppm, t):
     assert geom.expected_count == pytest.approx(36.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("target", [0, -5, -0.5, float("nan")])
+def test_default_lateral_radius_refuses_a_target_count_not_positive(target):
+    with pytest.raises(ValueError, match="target spin count must be positive"):
+        default_lateral_radius(3.0, 10.0, target)
+
+
 def test_nuclear_projection_choices():
     geom = BathGeometry(30.0, 10.0, 15.0)
     cfg = generate_bath(geom, 2, nuclear_projections=(-1.0, 0.0, 1.0))
@@ -346,6 +353,30 @@ def test_generation_slicing_and_trimming_match_frozen_copies(
             assert_identical(slice_bath(cfg, t), frozen_slice_bath(ref, t))
         for n in (0, 1, 7, len(cfg)):
             assert_identical(keep_nearest(cfg, n), frozen_keep_nearest(ref, n))
+    assert 0 in sizes if spins < 1 else len(sizes) > 1
+
+
+@pytest.mark.parametrize("mode", ["lattice-site", "continuum-poisson"])
+@pytest.mark.parametrize("spins", [36, 0.5])  # at 0.5 most baths are empty
+@pytest.mark.parametrize("kwargs", [{}, {"exclusion_radius": 0.0}])
+def test_positions_drawn_in_blocks_match_frozen_copies(mode, spins, kwargs):
+    geom = BathGeometry(3.0, 4.0, default_lateral_radius(3.0, 4.0, spins),
+                        mode)
+    spawned = np.random.SeedSequence(9, spawn_key=(2,)).spawn(40)
+    sizes = set()
+    for seeds in ([5], spawned[:1], list(range(40)), spawned,
+                  list(range(7)) + spawned[:5]):
+        seqs, rngs, positions = _draw_positions(geom, seeds, **kwargs)
+        assert len(seqs) == len(rngs) == len(positions) == len(seeds)
+        for seed, ss, rng, pos in zip(seeds, seqs, rngs, positions):
+            ref = frozen_generate_bath(geom, seed, **kwargs)
+            assert np.array_equal(pos, ref.positions)
+            assert pos.dtype == ref.positions.dtype
+            assert pos.shape == ref.positions.shape
+            assert ss.entropy == ref.seed and ss.spawn_key == ref.spawn_key
+            # each generator is left where the axis draws begin
+            assert np.array_equal(rng.integers(0, 4, len(pos)), ref.jt_axes)
+            sizes.add(len(pos))
     assert 0 in sizes if spins < 1 else len(sizes) > 1
 
 

@@ -1005,16 +1005,21 @@ def test_block_partitions_match_greedy_loop():
 
 
 def test_simulate_observable_matches_per_configuration_loop():
-    # about 4 spins a bath: empty, lone-spin and all-strong baths give inf
-    geom = BathGeometry(8.0, 3.0, default_lateral_radius(8.0, 3.0, 4),
-                        "continuum-poisson")
-    n = 2 * cce_module._PARTITION_BLOCK + 3
-    got = cce_module.simulate_observable(geom, n, 4, 2)
-    expect = [reference_partition_strong_weak(cfg).t2_star
-              for _, cfg in cce_module._configurations(geom, n, 4, 2)]
-    assert len(got) == n and all(type(v) is float for v in got)
-    assert np.array_equal(got, expect)
-    assert np.isinf(got).any() and np.isfinite(got).any()
+    block = cce_module._PARTITION_BLOCK
+    # about 4 spins a bath gives empty, lone-spin and all-strong baths (inf)
+    # next to finite ones; at 0.5 spins most baths are empty
+    for mode, spins, n in product(["lattice-site", "continuum-poisson"],
+                                  [4, 0.5], [1, block, 2 * block + 3]):
+        geom = BathGeometry(8.0, 3.0,
+                            default_lateral_radius(8.0, 3.0, spins), mode)
+        got = cce_module.simulate_observable(geom, n, 4, 2)
+        configs = [c for _, c in cce_module._configurations(geom, n, 4, 2)]
+        expect = [partition_strong_weak(c).t2_star for c in configs]
+        assert len(got) == n and all(type(v) is float for v in got)
+        assert np.array_equal(got, expect), (mode, spins, n)
+        if n > 1:
+            assert np.isinf(got).any() and np.isfinite(got).any()
+            assert spins > 1 or min(map(len, configs)) == 0
 
 
 def test_empty_bath_coherence_is_unity():

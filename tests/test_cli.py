@@ -443,10 +443,21 @@ def test_coherence_refuses_a_bad_dipole_radius(capsys, radius):
     (["bath", "--density", "3", "--thickness", "1e308", "--radius", "1e-160"],
      "a slab 1e+308 nm thick and 1e-160 nm in radius holds more lattice "
      "sites than the cap of 2^62"),
+    (["bath", "--density", "3", "--thickness", "10", "--target-spins", "-5"],
+     "target spin count must be positive, got -5"),
+    (["bath", "--density", "3", "--thickness", "10", "--target-spins", "0"],
+     "target spin count must be positive, got 0"),
+    (["coherence", "--density", "3", "--thickness", "10", "--npoints", "5",
+      "--target-spins", "-5"],
+     "target spin count must be positive, got -5"),
+    (["sweep", "--densities", "3", "--thicknesses", "10", "--nconfigs", "2",
+      "--target-spins", "0"],
+     "target spin count must be positive, got 0"),
 ])
 def test_bath_inputs_that_cannot_be_drawn_end_in_one_error_line(
-        capsys, argv, message):
+        capsys, recwarn, argv, message):
     code, out, err = run_cli(capsys, *argv)
+    assert not recwarn.list  # a warning would print lines of its own
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
