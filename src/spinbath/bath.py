@@ -130,9 +130,9 @@ def default_lateral_radius(density_ppm, thickness, target_spins=36):
     converges; use 300 for echo observables.
     """
     if density_ppm <= 0:
-        raise ValueError("density must be positive")
+        raise ValueError(f"density must be positive, got {density_ppm:g}")
     if thickness <= 0:
-        raise ValueError("thickness must be positive")
+        raise ValueError(f"thickness must be positive, got {thickness:g}")
     if not target_spins > 0:
         raise ValueError(f"target spin count must be positive, got "
                          f"{target_spins:g}")
@@ -283,7 +283,8 @@ def slice_bath(config: BathConfiguration, new_thickness) -> BathConfiguration:
         raise ValueError(f"slice thickness must be finite, got "
                          f"{new_thickness:g}")
     if new_thickness <= 0:
-        raise ValueError("slice thickness must be positive")
+        raise ValueError(f"slice thickness must be positive, got "
+                         f"{new_thickness:g}")
     if new_thickness > config.geometry.thickness:
         raise ValueError("slice thickness exceeds bath thickness")
     keep = np.abs(config.positions[:, 2]) <= new_thickness / 2.0

@@ -23,10 +23,12 @@ Two Hamiltonian modes:
   process may use; each cluster's arithmetic is the same on any thread,
   so values do not depend on the pool size.
 - "full": complete dipolar tensors in the (2S+1) * 2^k Hilbert space,
-  used for small-bath oracles and cross-checks.  Each cluster is
-  diagonalized once and propagated by one path for every bath state (a
-  sampled product state, or all 2^k basis states for the thermal trace)
-  and every time point together; clusters are limited to
+  used for small-bath oracles and cross-checks.  Each level (the clusters
+  of one size) is assembled, diagonalized by one stacked eigh and
+  propagated in one array pass per bounded chunk of clusters, for every
+  bath state (a sampled product state, or all 2^k basis states for the
+  thermal trace) and every time point together; cluster_contribution is
+  its one-cluster case, with the same bytes.  Clusters are limited to
   MAX_FULL_CLUSTER_SPINS spins.  This mode runs on the calling thread.
 
 The order-1 Ramsey closed form (a product of cosines) lives here too,
@@ -54,7 +56,7 @@ import numpy as np
 
 from .bath import BathConfiguration
 from .constants import CONSTANTS, DEFAULTS, FieldConfig, P1Params
-from .hamiltonian import SPIN1_M_ORDER, build_cluster_hamiltonian
+from .hamiltonian import SPIN1_M_ORDER, _hamiltonians, _rotated_couplings
 
 DIVISION_FLOOR = 1e-10
 MAX_CLUSTERS = 2_000_000
@@ -138,6 +140,9 @@ class CCEConfig:
             raise ValueError(f"dipole_radius must be positive and finite, "
                              f"and so must its square, got "
                              f"{self.dipole_radius!r}")
+        if grid.ndim == 1 and not np.all(np.isfinite(grid)):
+            raise ValueError(f"time_grid must be finite, got "
+                             f"{grid[~np.isfinite(grid)][0]:g}")
         if grid.ndim != 1 or not grid.size or np.any(np.diff(grid) <= 0) \
                 or grid[0] < 0:
             raise ValueError("time_grid must be non-empty and strictly "
@@ -465,6 +470,11 @@ def _pi_pulse_matrix(qubit_levels, nbath_dim):
 # Time points per batch of the full-mode propagator: a (3 * 2^k, time,
 # bath state) block holds at most about this many complex elements.
 _PROPAGATOR_CHUNK = 2**22
+# Clusters per chunk of a full-mode level pass: about this many complex
+# elements in each stacked Hamiltonian or propagation block (the
+# assembly's index and value temporaries take a few times more), unless
+# one cluster needs more.
+_LEVEL_CHUNK = 2**16
 
 
 def _check_full_cluster_size(k):
@@ -488,53 +498,118 @@ def cluster_contribution(positions, z_fields, sequence: PulseSequence,
     Every bath state and time point goes through one batched pass per
     free-evolution segment.  Returns complex L(t) over time_grid,
     normalized so L(0) = 1.  Clusters of more than MAX_FULL_CLUSTER_SPINS
-    spins raise ValueError.
+    spins raise ValueError.  This is the one-cluster case of _level_curves.
     """
-    field = field or DEFAULTS.field
-    central = DEFAULTS.central
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     k = len(positions)
     _check_full_cluster_size(k)
-    nb = 2**k
-    hmat = build_cluster_hamiltonian(positions, central, field, z_fields)
-    # bits of every bath basis state: spin i is bit (k-1-i) of its index
-    bits = (np.arange(nb)[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1
-    if extra_z_shifts is not None:
-        diag = (0.5 - bits) @ np.asarray(extra_z_shifts, dtype=float)
-        hmat = hmat + np.kron(np.eye(3), np.diag(diag)).astype(complex)
-    evals, evecs = np.linalg.eigh(hmat)
+    central_t, pair_t = _rotated_couplings(
+        positions, DEFAULTS.central, zip(*np.triu_indices(k, 1)))
+    shifts = np.zeros(k) if extra_z_shifts is None else extra_z_shifts
+    return _level_curves(
+        np.asarray(z_fields, dtype=float).reshape(1, k), central_t[None],
+        pair_t[None], np.asarray(shifts, dtype=float).reshape(1, k),
+        None if bath_state is None else np.reshape(bath_state, (1, k)),
+        sequence, np.asarray(time_grid, dtype=float),
+        field or DEFAULTS.field)[0]
 
-    if bath_state is None:
-        bath = np.eye(nb, dtype=complex)
-    else:
-        bath = (bits == bath_state).all(axis=1)[:, None].astype(complex)
+
+def _level_couplings(pos, levels):
+    """Per level, each cluster's rotated tensors (see
+    hamiltonian._rotated_couplings): (c, k, 9) to the central spin and
+    (c, k(k-1)/2, 9) within its pairs of members i < j, in row-major
+    order.  Each distinct pair's tensor is computed once; members are
+    sorted, so a pair's tensor is the same in every cluster."""
+    n = len(pos)
+    keys = []
+    for _, rows in levels:
+        i, j = np.triu_indices(rows.shape[1], 1)
+        keys.append(rows[:, i] * n + rows[:, j])
+    pairs = np.unique(np.concatenate([key.ravel() for key in keys]))
+    pair_t = _rotated_couplings(pos, DEFAULTS.central,
+                                zip(*np.divmod(pairs, n)))[1]
+    # np.linalg.norm's BLAS dot may round a 3-vector by its address
+    # (OpenBLAS's SSE2 kernel does).  Member i of a fresh (16-byte
+    # aligned) array pos[cl] sits 8 * (i % 2) bytes past alignment, so
+    # each spin's tensor is computed at both offsets and each member takes
+    # the one of its place: a row's values are those of
+    # cluster_contribution(pos[cl], ...).
+    shifted = np.empty((n + 1, 3))
+    shifted[1:] = pos
+    central_t = [_rotated_couplings(p, DEFAULTS.central, ())[0]
+                 for p in (pos.copy(), shifted[1:])]
+    out = []
+    for (_, rows), key in zip(levels, keys):
+        same = rows % 2 == np.arange(rows.shape[1]) % 2
+        out.append((np.where(same[..., None], central_t[0][rows],
+                             central_t[1][rows]),
+                    pair_t[np.searchsorted(pairs, key)]))
+    return out
+
+
+def _level_curves(z_fields, central_t, pair_t, shifts, states, sequence,
+                  t, field):
+    """L(t) (c, nt) of a stack of c clusters of k spins (see
+    cluster_contribution), in one array pass per chunk of clusters.
+
+    z_fields and shifts (the extra z fields) are (c, k); central_t and
+    pair_t are the clusters' rotated tensors (see _level_couplings);
+    states is (c, k) bits of each cluster's bath product state, or None
+    for the thermal average.  Clusters go in chunks of _LEVEL_CHUNK
+    elements, and time points in blocks of _PROPAGATOR_CHUNK.  Each
+    cluster's matrix products have the shapes and time blocks of a
+    one-cluster pass, so its values do not depend on the other clusters
+    of the stack.
+    """
+    c, k = z_fields.shape
+    nb = 2**k
+    dim = 3 * nb
+    central = DEFAULTS.central
     m0, m1 = central.qubit_levels
     i0, i1 = SPIN1_M_ORDER.index(m0), SPIN1_M_ORDER.index(m1)
-    psi0 = np.zeros((3, nb, bath.shape[1]), dtype=complex)
-    psi0[i0] = psi0[i1] = bath / np.sqrt(2.0)
-    psi0 = psi0.reshape(3 * nb, -1)
+    # bits of every bath basis state: spin i is bit (k-1-i) of its index
+    bits = (np.arange(nb)[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1
+    ns = nb if states is None else 1  # bath states per cluster
+    # time points per propagation block, and clusters per chunk
+    step = max(1, _PROPAGATOR_CHUNK // (dim * ns))
+    per = max(1, _LEVEL_CHUNK // (dim * max(dim, ns * len(t))))
     # the pi pulse swaps the two qubit blocks
-    pulse = np.arange(3 * nb).reshape(3, nb)
+    pulse = np.arange(dim).reshape(3, nb)
     pulse[[i0, i1]] = pulse[[i1, i0]]
     pulse = pulse.ravel()
+    diag = np.arange(dim)
 
-    def apply(mat, v):  # mat acting on the first axis of v
-        return (mat @ v.reshape(len(mat), -1)).reshape(v.shape)
+    def apply(mat, v):  # each cluster's mat acting on axis 1 of v
+        return (mat @ v.reshape(len(mat), dim, -1)).reshape(v.shape)
 
-    t = np.asarray(time_grid, dtype=float)
-    W = evecs.conj().T
-    x0 = (W @ psi0)[:, None, :]  # the first segment's start, at every t
-    out = np.empty(len(t), dtype=complex)
-    step = max(1, _PROPAGATOR_CHUNK // psi0.size)
-    for a in range(0, len(t), step):
-        tc = t[a:a + step]
-        for s, frac in enumerate(sequence.segments):
-            x = apply(W, psi[pulse]) if s else x0
-            phase = np.exp(-1j * np.multiply.outer(evals, frac * tc))
-            psi = apply(evecs, phase[:, :, None] * x)
-        c = psi.reshape(3, nb, len(tc), -1)
-        out[a:a + step] = 2.0 * np.mean(np.sum(c[i1].conj() * c[i0], axis=0),
-                                        axis=-1)
+    out = np.empty((c, len(t)), dtype=complex)
+    for c0 in range(0, c, per):
+        s = slice(c0, c0 + per)
+        H = _hamiltonians(central, field, z_fields[s], central_t[s], pair_t[s])
+        cc = len(H)
+        # the extra z fields, on the diagonal of every m_s block
+        shift_diag = ((0.5 - bits) @ shifts[s, :, None])[..., 0]
+        H[:, diag, diag] += np.tile(shift_diag, 3)
+        evals, evecs = np.linalg.eigh(H)
+        if states is None:
+            bath = np.eye(nb, dtype=complex)[None]
+        else:
+            bath = (bits == states[s, None, :]).all(axis=2)[..., None] \
+                .astype(complex)
+        psi0 = np.zeros((len(bath), 3, nb, ns), dtype=complex)
+        psi0[:, i0] = psi0[:, i1] = bath / np.sqrt(2.0)
+        psi0 = psi0.reshape(len(bath), dim, ns)
+        W = evecs.conj().transpose(0, 2, 1)
+        x0 = (W @ psi0)[:, :, None, :]  # the first segment's start, at every t
+        for a in range(0, len(t), step):
+            tc = t[a:a + step]
+            for seg, frac in enumerate(sequence.segments):
+                x = apply(W, psi[:, pulse]) if seg else x0
+                phase = np.exp(-1j * np.multiply.outer(evals, frac * tc))
+                psi = apply(evecs, phase[..., None] * x)
+            amp = psi.reshape(cc, 3, nb, len(tc), ns)
+            out[s, a:a + step] = 2.0 * np.mean(
+                np.sum(amp[:, i1].conj() * amp[:, i0], axis=1), axis=-1)
     # remove the free central-spin phase (D m^2 - gamma_e B m), accumulated
     # with alternating sign over the segments; exactly 0 for Hahn echo
     e0, e1 = (central.zero_field_splitting_D * m**2
@@ -854,6 +929,9 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
         np.fill_diagonal(r, np.inf)
         jzz = _secular_dipolar(rel @ axis, r)
 
+    if cce.mode == "full":
+        couplings = _level_couplings(pos, levels)
+
     exact = cce.bath_state_mode == "exact"
     n_states = 1 if exact else cce.n_bath_states
     total = np.zeros(len(t), dtype=complex)
@@ -897,13 +975,12 @@ def cce_coherence(config: BathConfiguration, cce: CCEConfig,
                         _secular_cluster_curves(H0, H1, state_bits, sl,
                                                 sequence, t, exact=exact)
         else:
-            for start, sets in levels:
-                for ci, cl in enumerate(sets, start):
-                    mf = hmf[cl] - jzz[np.ix_(cl, cl)] @ svals[cl]
-                    l_raw[ci] = cluster_contribution(
-                        pos[cl], eps[cl], sequence,
-                        None if exact else state_bits[cl], t, field=field,
-                        extra_z_shifts=mf)
+            for (start, sets), (central_t, pair_t) in zip(levels, couplings):
+                jc = jzz[sets[:, :, None], sets[:, None, :]]
+                mf = hmf[sets] - (jc @ svals[sets][..., None])[..., 0]
+                l_raw[start:start + len(sets)] = _level_curves(
+                    eps[sets], central_t, pair_t, mf,
+                    None if exact else state_bits[sets], sequence, t, field)
 
         floored += _telescope(l_raw, levels, subsets)
         with np.errstate(over="ignore", invalid="ignore"):

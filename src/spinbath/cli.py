@@ -117,6 +117,9 @@ def cmd_bath(args):
 def _time_grid(args):
     if args.npoints < 1:
         raise ValueError(f"--npoints must be at least 1, got {args.npoints}")
+    if not 0 < args.tmax < np.inf:
+        raise ValueError(f"--tmax must be positive and finite, got "
+                         f"{args.tmax:g}")
     if args.log_grid:
         return np.concatenate([[0.0], np.geomspace(args.tmax * 3e-4,
                                                    args.tmax, args.npoints)])

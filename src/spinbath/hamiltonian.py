@@ -18,7 +18,8 @@ nonzeros (flat index, value), scaled by the coupling and summed in term
 order with one unbuffered np.add.at, gives the bits that dense products of
 Kronecker-embedded operators summed term by term give: each entry receives
 the same nonzero additions in the same order, and the skipped zeros change
-no sum.
+no sum.  One np.add.at assembles a whole stack of equal-size clusters, so
+the full-mode CCE builds each level of clusters at once.
 """
 
 from __future__ import annotations
@@ -127,6 +128,54 @@ def _term_table(n):
     return table
 
 
+def _rotated_couplings(positions, central: CentralSpinParams, pairs):
+    """Dipolar tensors in the quantization frame, each raveled to nine
+    coefficients: (n, 9) between the central spin and each bath spin at
+    `positions` (n, 3), and (p, 9) within each pair (i, j) of `pairs`."""
+    R = _frame(central.quantization_axis)
+
+    def rotated(r_vec):
+        return (R @ dipolar_tensor(r_vec) @ R.T).ravel()
+
+    return (np.array([rotated(r) for r in positions]).reshape(-1, 9),
+            np.array([rotated(positions[j] - positions[i])
+                      for i, j in pairs]).reshape(-1, 9))
+
+
+def _hamiltonians(central: CentralSpinParams, field: FieldConfig, z_fields,
+                  central_t, pair_t):
+    """Hamiltonians (rad/ms) of a stack of c clusters of n spins, as a
+    (c, 3 * 2^n, 3 * 2^n) array.
+
+    z_fields (c, n), central_t (c, n, 9) and pair_t (c, n(n-1)/2, 9) are
+    each cluster's z fields and rotated tensors (see _rotated_couplings),
+    with the members' pairs i < j in row-major order.  One np.add.at over
+    the stack, cluster after cluster, adds each entry's terms in
+    _term_table(n)'s order.
+    """
+    c, n = z_fields.shape
+    dim = 3 << n
+    # one coefficient per term of _term_table(n), in its order; the central
+    # spin's are -gamma_e B (Sz) and D (Sz^2)
+    coefs = np.concatenate([
+        np.broadcast_to([-CONSTANTS.gamma_e * field.B_z,
+                         central.zero_field_splitting_D], (c, 2)),
+        np.concatenate([z_fields[..., None], central_t],
+                       axis=2).reshape(c, -1),
+        pair_t.reshape(c, -1)], axis=1)
+    idx, vals, counts = _term_table(n)
+    H = np.zeros((c, dim, dim), dtype=complex)
+    # a zero coefficient adds a signed zero, which changes no entry: sums
+    # that start from +0 are never -0
+    np.add.at(H.reshape(-1), (idx + dim * dim * np.arange(c)[:, None]).ravel(),
+              (np.repeat(coefs, counts, axis=1) * vals).ravel())
+    scale = np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
+    if np.any(np.linalg.norm(H - H.conj().transpose(0, 2, 1), axis=(1, 2))
+              > 1e-12 * scale):
+        raise AssertionError("assembled Hamiltonian is not Hermitian")
+    return H
+
+
 def build_cluster_hamiltonian(positions, central: CentralSpinParams,
                               field: FieldConfig, z_fields):
     """Assemble the full central-spin + cluster Hamiltonian (rad/ms) as a
@@ -135,41 +184,18 @@ def build_cluster_hamiltonian(positions, central: CentralSpinParams,
     positions: (n, 3) bath-spin positions (nm) relative to the central
     spin at the origin; z_fields: (n,) P_z coefficient of each bath spin,
     its hyperfine shift a(m, axis) minus gamma_e B.  Hilbert space
-    (2S+1) * 2^n in the quantization frame.
+    (2S+1) * 2^n in the quantization frame.  This is the one-cluster case
+    of _hamiltonians.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     n = len(positions)
     if len(z_fields) != n:
         raise ValueError("z_fields must cover every cluster member")
-
-    R = _frame(central.quantization_axis)
-    dim = 3 << n
-
-    # one coefficient per term of _term_table(n), in its order
-    coefs = np.zeros(2 + 10 * n + 9 * (n * (n - 1) // 2))
-    # central spin: -gamma_e B Sz + D Sz^2
-    coefs[:2] = -CONSTANTS.gamma_e * field.B_z, central.zero_field_splitting_D
-    coefs[2:2 + 10 * n:10] = z_fields
-    for i in range(n):
-        A = dipolar_tensor(positions[i])
-        coefs[3 + 10 * i:12 + 10 * i] = (R @ A @ R.T).ravel()
-    k = 2 + 10 * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            J = dipolar_tensor(positions[j] - positions[i])
-            coefs[k:k + 9] = (R @ J @ R.T).ravel()
-            k += 9
-
-    idx, vals, counts = _term_table(n)
-    keep = coefs != 0.0
-    sel = np.repeat(keep, counts)
-    H = np.zeros(dim * dim, dtype=complex)
-    np.add.at(H, idx[sel], np.repeat(coefs[keep], counts[keep]) * vals[sel])
-    H = H.reshape(dim, dim)
-    scale = max(1.0, float(np.linalg.norm(H)))
-    if np.linalg.norm(H - H.conj().T) > 1e-12 * scale:
-        raise AssertionError("assembled Hamiltonian is not Hermitian")
-    return H
+    central_t, pair_t = _rotated_couplings(
+        positions, central, zip(*np.triu_indices(n, 1)))
+    return _hamiltonians(central, field,
+                         np.asarray(z_fields, dtype=float).reshape(1, n),
+                         central_t[None], pair_t[None])[0]
 
 
 # --- P1 ESR spectroscopy ------------------------------------------------

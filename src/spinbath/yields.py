@@ -177,7 +177,8 @@ def yield_sweep(densities, thicknesses, n_configs, seed,
     if np.any(thicknesses > MASTER_THICKNESS_NM):
         raise ValueError("slice thickness exceeds master slab thickness")
     if np.any(densities <= 0):
-        raise ValueError("density must be positive")
+        raise ValueError(f"density must be positive, got "
+                         f"{densities[densities <= 0][0]:g}")
     frac = np.zeros((len(densities), len(thicknesses)))
     stderr = np.zeros_like(frac)
     for i, rho in enumerate(densities):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinbath.cce as cce_module
+import spinbath.hamiltonian as hamiltonian_module
 from spinbath.bath import (
     BathConfiguration,
     BathGeometry,
@@ -107,6 +108,16 @@ def test_cce_config_rejects_bad_dipole_radius(radius):
     with pytest.raises(ValueError, match="dipole_radius must be positive"):
         CCEConfig(order=2, dipole_radius=radius, n_bath_states=1,
                   time_grid=np.linspace(0, 1, 10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cce_config_rejects_a_time_grid_that_is_not_finite(recwarn, bad):
+    t = np.linspace(0, 1, 10)
+    t[3] = bad
+    with pytest.raises(ValueError,
+                       match=f"time_grid must be finite, got {bad}"):
+        CCEConfig(order=2, dipole_radius=1.0, n_bath_states=1, time_grid=t)
+    assert not recwarn.list
 
 
 def test_coherence_curve_normalization_guard():
@@ -831,15 +842,60 @@ def test_propagator_across_time_chunks(sequence):
     assert np.max(np.abs(new - ref)) <= PROPAGATOR_TOL
 
 
+def reference_full_mode_cce(cfg, cce, sequence, seed,
+                            contribution=None):
+    """cce_coherence in full mode, one contribution call (by default
+    reference_cluster_contribution) per cluster and bath state, telescoped
+    one cluster at a time (see reference_telescope), with the engine's
+    random draws."""
+    contribution = contribution or reference_cluster_contribution
+    n = len(cfg)
+    t = cce.time_grid
+    p1 = DEFAULTS.p1("n15")
+    pos = cfg.positions
+    axis = DEFAULTS.central.quantization_axis
+    rel = pos[:, None, :] - pos[None, :, :]
+    r = np.linalg.norm(rel, axis=-1)
+    np.fill_diagonal(r, np.inf)
+    jzz = cce_module._secular_dipolar(rel @ axis, r)
+    clusters = enumerate_clusters(cfg, cce.order, cce.dipole_radius)
+    exact = cce.bath_state_mode == "exact"
+    n_states = 1 if exact else cce.n_bath_states
+    rng = np.random.default_rng(seed)
+    total = np.zeros(len(t), dtype=complex)
+    for _ in range(n_states):
+        ms = rng.choice(np.asarray(p1.nuclear_projections), size=n)
+        axes = rng.integers(0, 4, n)
+        eps = (p1.hyperfine_shift(ms, axes)
+               - CONSTANTS.gamma_e * DEFAULTS.field.B_z)
+        bits = None if exact else rng.integers(0, 2, n)
+        svals = np.zeros(n) if exact else 0.5 - bits
+        hmf = np.zeros(n) if exact else jzz @ svals
+        l_raw = np.array([contribution(
+            pos[list(c)], eps[list(c)], sequence,
+            None if exact else bits[list(c)], t,
+            extra_z_shifts=hmf[list(c)] - jzz[np.ix_(c, c)] @ svals[list(c)])
+            for c in clusters])
+        ltilde, _ = reference_telescope(l_raw, clusters)
+        total += np.prod(ltilde, axis=0)
+    return total / n_states
+
+
 # The thermal (exact) order-3 expansion diverges on these baths once pair
 # contributions approach zero (|L| reaches 30 by 0.05 ms here), and its
 # telescoping division then amplifies rounding; exact mode is compared
 # before that.
 @pytest.mark.parametrize("mode,t_max", [("sample", 0.2), ("exact", 0.01)])
 @pytest.mark.parametrize("order", [2, 3])
-def test_full_mode_cce_matches_reference_propagator(monkeypatch, mode, t_max,
-                                                    order):
-    # check 2's dilute geometry and its first 6-spin seed, 5 nearest spins
+def test_full_mode_cce_matches_reference_propagator(mode, t_max, order):
+    new, ref = full_mode_cce_pair(mode, t_max, order,
+                                  reference_cluster_contribution)
+    assert np.max(np.abs(new - ref)) <= PROPAGATOR_TOL
+
+
+def full_mode_cce_pair(mode, t_max, order, contribution):
+    """(cce_coherence, reference_full_mode_cce with `contribution`) on
+    check 2's dilute geometry and its first 6-spin seed, 5 nearest spins."""
     geom = BathGeometry(5.0, 30.0, default_lateral_radius(5.0, 30.0, 12),
                         "continuum-poisson")
     cfg = keep_nearest(generate_bath(geom, 16, exclusion_radius=3.0), 5)
@@ -847,10 +903,153 @@ def test_full_mode_cce_matches_reference_propagator(monkeypatch, mode, t_max,
     cce = CCEConfig(order=order, dipole_radius=1e9, n_bath_states=2,
                     time_grid=t, mode="full", bath_state_mode=mode)
     new = cce_coherence(cfg, cce, HAHN_ECHO, seed=4).values
-    monkeypatch.setattr(cce_module, "cluster_contribution",
-                        reference_cluster_contribution)
-    ref = cce_coherence(cfg, cce, HAHN_ECHO, seed=4).values
-    assert np.max(np.abs(new - ref)) <= PROPAGATOR_TOL
+    return new, reference_full_mode_cce(cfg, cce, HAHN_ECHO, 4, contribution)
+
+
+# --- full-mode level pass against frozen one-cluster copies ---------------
+
+def frozen_full_mode_hamiltonian(positions, central, field, z_fields):
+    """build_cluster_hamiltonian as it was before the stacked assembly."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    n = len(positions)
+    R = hamiltonian_module._frame(central.quantization_axis)
+    dim = 3 << n
+    coefs = np.zeros(2 + 10 * n + 9 * (n * (n - 1) // 2))
+    coefs[:2] = -CONSTANTS.gamma_e * field.B_z, central.zero_field_splitting_D
+    coefs[2:2 + 10 * n:10] = z_fields
+    for i in range(n):
+        A = hamiltonian_module.dipolar_tensor(positions[i])
+        coefs[3 + 10 * i:12 + 10 * i] = (R @ A @ R.T).ravel()
+    k = 2 + 10 * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            J = hamiltonian_module.dipolar_tensor(positions[j] - positions[i])
+            coefs[k:k + 9] = (R @ J @ R.T).ravel()
+            k += 9
+    idx, vals, counts = hamiltonian_module._term_table(n)
+    keep = coefs != 0.0
+    sel = np.repeat(keep, counts)
+    H = np.zeros(dim * dim, dtype=complex)
+    np.add.at(H, idx[sel], np.repeat(coefs[keep], counts[keep]) * vals[sel])
+    return H.reshape(dim, dim)
+
+
+def frozen_full_mode_contribution(positions, z_fields, sequence, bath_state,
+                                  time_grid, extra_z_shifts=None):
+    """cluster_contribution as it was before the level pass: one cluster,
+    the mean field added through np.kron, its own eigh."""
+    field = DEFAULTS.field
+    central = DEFAULTS.central
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    k = len(positions)
+    nb = 2**k
+    hmat = frozen_full_mode_hamiltonian(positions, central, field, z_fields)
+    bits = (np.arange(nb)[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1
+    if extra_z_shifts is not None:
+        diag = (0.5 - bits) @ np.asarray(extra_z_shifts, dtype=float)
+        hmat = hmat + np.kron(np.eye(3), np.diag(diag)).astype(complex)
+    evals, evecs = np.linalg.eigh(hmat)
+    if bath_state is None:
+        bath = np.eye(nb, dtype=complex)
+    else:
+        bath = (bits == bath_state).all(axis=1)[:, None].astype(complex)
+    m0, m1 = central.qubit_levels
+    i0, i1 = SPIN1_M_ORDER.index(m0), SPIN1_M_ORDER.index(m1)
+    psi0 = np.zeros((3, nb, bath.shape[1]), dtype=complex)
+    psi0[i0] = psi0[i1] = bath / np.sqrt(2.0)
+    psi0 = psi0.reshape(3 * nb, -1)
+    pulse = np.arange(3 * nb).reshape(3, nb)
+    pulse[[i0, i1]] = pulse[[i1, i0]]
+    pulse = pulse.ravel()
+
+    def apply(mat, v):
+        return (mat @ v.reshape(len(mat), -1)).reshape(v.shape)
+
+    t = np.asarray(time_grid, dtype=float)
+    W = evecs.conj().T
+    x0 = (W @ psi0)[:, None, :]
+    out = np.empty(len(t), dtype=complex)
+    step = max(1, cce_module._PROPAGATOR_CHUNK // psi0.size)
+    for a in range(0, len(t), step):
+        tc = t[a:a + step]
+        for s, frac in enumerate(sequence.segments):
+            x = apply(W, psi[pulse]) if s else x0
+            phase = np.exp(-1j * np.multiply.outer(evals, frac * tc))
+            psi = apply(evecs, phase[:, :, None] * x)
+        c = psi.reshape(3, nb, len(tc), -1)
+        out[a:a + step] = 2.0 * np.mean(np.sum(c[i1].conj() * c[i0], axis=0),
+                                        axis=-1)
+    e0, e1 = (central.zero_field_splitting_D * m**2
+              - CONSTANTS.gamma_e * field.B_z * m for m in (m0, m1))
+    signed = sum((-1.0) ** s * frac for s, frac in enumerate(sequence.segments))
+    return out * np.exp(1j * (e0 - e1) * signed * t)
+
+
+def assert_level_pass_matches_frozen_full_mode(size, sequence, thermal,
+                                               shifted, t, n=6):
+    """Every row of one level pass over the size-spin clusters of an n-spin
+    bath, byte for byte against frozen_full_mode_contribution."""
+    cfg = small_bath(seed=size, n=n)
+    levels = cce_module._cluster_levels(enumerate_clusters(cfg, size, 1e9))
+    sets = levels[-1][1]
+    assert sets.shape[1] == size
+    central_t, pair_t = cce_module._level_couplings(cfg.positions,
+                                                    levels)[-1]
+    rng = np.random.default_rng(size)
+    z = z_fields(cfg)
+    shifts = rng.normal(size=sets.shape) * 300.0 if shifted \
+        else np.zeros(sets.shape)
+    bits = rng.integers(0, 2, len(cfg))
+    states = None if thermal else bits[sets]
+    new = cce_module._level_curves(z[sets], central_t, pair_t, shifts, states,
+                                   sequence, t, DEFAULTS.field)
+    for row, cl, shift in zip(new, sets, shifts):
+        old = frozen_full_mode_contribution(
+            cfg.positions[cl], z[cl], sequence, None if thermal else bits[cl],
+            t, extra_z_shifts=shift if shifted else None)
+        assert row.tobytes() == old.tobytes(), cl
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+@pytest.mark.parametrize("thermal", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_level_pass_matches_frozen_full_mode_contribution(sequence, thermal,
+                                                          shifted, size):
+    assert_level_pass_matches_frozen_full_mode(
+        size, sequence, thermal, shifted, np.linspace(0.0, 0.05, 21))
+
+
+@pytest.mark.parametrize("sequence", [HAHN_ECHO, RAMSEY])
+def test_level_pass_across_chunks_matches_frozen_full_mode(monkeypatch,
+                                                            sequence):
+    t = np.linspace(0.0, 0.05, 21)
+    # sampled pairs: a (12, 12) Hamiltonian and a 12 x 21 block per
+    # cluster, so 3 of the 15 pairs per cluster chunk
+    monkeypatch.setattr(cce_module, "_LEVEL_CHUNK", 3 * 12 * 21)
+    assert_level_pass_matches_frozen_full_mode(2, sequence, False, True, t)
+    # thermal triples: 24 x 8 elements per time point, 5 per time block,
+    # all 20 triples in one cluster chunk
+    monkeypatch.undo()
+    monkeypatch.setattr(cce_module, "_PROPAGATOR_CHUNK", 5 * 24 * 8)
+    assert_level_pass_matches_frozen_full_mode(3, sequence, True, True, t)
+
+
+@pytest.mark.parametrize("mode,t_max", [("sample", 0.2), ("exact", 0.01)])
+@pytest.mark.parametrize("order", [2, 3])
+def test_full_mode_cce_matches_frozen_full_mode_driver(mode, t_max, order):
+    # the engine's mean fields, couplings and level passes, byte for byte
+    new, old = full_mode_cce_pair(mode, t_max, order,
+                                  frozen_full_mode_contribution)
+    assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+def test_cluster_hamiltonian_matches_frozen_full_mode_assembly(size):
+    cfg = small_bath(seed=size, n=size)
+    args = (cfg.positions, DEFAULTS.central, DEFAULTS.field, z_fields(cfg))
+    new = build_cluster_hamiltonian(*args)
+    assert new.tobytes() == frozen_full_mode_hamiltonian(*args).tobytes()
 
 
 def test_full_cluster_size_guard(monkeypatch):
@@ -859,7 +1058,7 @@ def test_full_cluster_size_guard(monkeypatch):
 
     k = MAX_FULL_CLUSTER_SPINS + 1
     cfg = line_bath(k)
-    monkeypatch.setattr(cce_module, "build_cluster_hamiltonian", never)
+    monkeypatch.setattr(cce_module, "_rotated_couplings", never)
     with pytest.raises(ValueError, match=f"limit of {MAX_FULL_CLUSTER_SPINS}"):
         cluster_contribution(cfg.positions, z_fields(cfg), HAHN_ECHO, None,
                              np.linspace(0.0, 0.01, 5))

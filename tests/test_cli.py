@@ -411,6 +411,19 @@ def test_coherence_refuses_fewer_than_one_point(capsys, npoints, grid):
     assert err == f"error: --npoints must be at least 1, got {npoints}\n"
 
 
+@pytest.mark.parametrize("tmax", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("grid", [[], ["--log-grid"]])
+def test_coherence_refuses_a_tmax_that_is_not_positive_and_finite(
+        capsys, recwarn, tmax, grid):
+    code, out, err = run_cli(capsys, "coherence", "--density", "20",
+                             "--thickness", "5", "--npoints", "10",
+                             "--tmax", tmax, *grid)
+    assert not recwarn.list  # a warning would print lines of its own
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --tmax must be positive and finite, got {tmax}\n"
+
+
 @pytest.mark.parametrize("radius",
                          ["-1", "0", "nan", "inf", "1e200", "1e300"])
 def test_coherence_refuses_a_bad_dipole_radius(capsys, radius):
@@ -453,6 +466,14 @@ def test_coherence_refuses_a_bad_dipole_radius(capsys, radius):
     (["sweep", "--densities", "3", "--thicknesses", "10", "--nconfigs", "2",
       "--target-spins", "0"],
      "target spin count must be positive, got 0"),
+    (["bath", "--density", "-1", "--thickness", "10"],
+     "density must be positive, got -1"),
+    (["bath", "--density", "3", "--thickness", "-2"],
+     "thickness must be positive, got -2"),
+    (["yield", "--densities", "3", "--thicknesses", "-1", "--nconfigs", "2"],
+     "slice thickness must be positive, got -1"),
+    (["yield", "--densities", "-3", "--thicknesses", "1", "--nconfigs", "2"],
+     "density must be positive, got -3"),
 ])
 def test_bath_inputs_that_cannot_be_drawn_end_in_one_error_line(
         capsys, recwarn, argv, message):

@@ -66,7 +66,7 @@ def test_run_echo_exponent(capsys):
     ("run_mle_benchmark", ["--nsamples", "10", "--trials", "5"],
      "need >= 100 trials for stable means"),
     ("run_yield_sweep", ["--nconfigs", "2", "--thicknesses", "-1"],
-     "slice thickness must be positive"),
+     "slice thickness must be positive, got -1"),
     ("run_mle_benchmark", ["--nsamples", "10", "--counts", "0", "2"],
      "sample counts must be integers >= 1, got 0"),
     ("run_mle_benchmark", ["--nsamples", "10", "--counts", "2", "2"],
